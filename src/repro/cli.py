@@ -485,8 +485,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a single frame and exit (no screen clearing)",
     )
 
-    p = sub.add_parser("cache", help="inspect or wipe the result cache")
-    p.add_argument("action", choices=("info", "wipe"))
+    p = sub.add_parser("cache", help="inspect, verify or wipe the result cache")
+    p.add_argument("action", choices=("info", "verify", "wipe"))
+    p.add_argument(
+        "--sample",
+        type=int,
+        default=None,
+        metavar="N",
+        help="verify: re-mint N sampled workload-set index entries (default: all)",
+    )
+    p.add_argument(
+        "--seed", type=int, default=0, help="verify: seed of the --sample draw"
+    )
     p.add_argument(
         "--cache-dir",
         type=Path,
@@ -776,9 +786,15 @@ def _dispatch(args: argparse.Namespace) -> int:
             import json
             from dataclasses import asdict
 
-            from .core.trace import summarize_trace, trace_spans
+            from .core.trace import (
+                summarize_trace,
+                trace_spans,
+                trace_stages,
+                workload_mints,
+            )
 
             data = asdict(summarize_trace(args.path))
+            data["workload_mints"] = workload_mints(trace_stages(args.path))
             data["failed_cells"] = [
                 {
                     "benchmark": sp.benchmark,
@@ -1050,6 +1066,28 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.action == "wipe":
             n = store.wipe()
             print(f"removed {n} cached artifacts from {store.root}")
+        elif args.action == "verify":
+            from .core.engine import verify_workload_sets
+
+            if args.sample is not None and args.sample < 1:
+                print("cache verify: --sample must be >= 1", file=sys.stderr)
+                return 2
+            checked, skipped = verify_workload_sets(
+                store.sets, sample=args.sample, seed=args.seed
+            )
+            n_stale = 0
+            for bid, base_seed, stale in checked:
+                n_stale += bool(stale)
+                for name in stale:
+                    print(
+                        f"STALE {bid} base_seed={base_seed} workload {name} "
+                        "(index entry quarantined)"
+                    )
+            print(
+                f"verify: re-minted {len(checked)} workload set(s), "
+                f"{n_stale} stale, {skipped} keyed for another version"
+            )
+            return 1 if n_stale else 0
         else:
             profiles, captures = store.profiles, store.captures
             modes = profiles.replay_modes()
@@ -1067,6 +1105,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"  entries : {len(captures)}")
             print(f"  bytes   : {captures.total_bytes()}")
             print(f"  corrupt : {captures.quarantined_entries()} (quarantined *.corrupt)")
+            print("stage: generate (workload-set index)")
+            print(f"  entries : {len(store.sets)}")
+            print(f"  bytes   : {store.sets.total_bytes()}")
+            print(f"  corrupt : {store.sets.quarantined_entries()} (quarantined *.corrupt)")
         return 0
 
     if args.command == "generate":

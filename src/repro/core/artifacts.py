@@ -16,23 +16,27 @@ TelemetryCapture`, keyed by :func:`~repro.core.cache.capture_key`
   raw little-endian column bytes restore with one ``frombuffer`` each;
 * :class:`CaptureStore` — the on-disk store for encoded captures,
   with the same atomic-write and quarantine-on-corruption discipline
-  as :class:`~repro.core.cache.ResultCache`;
-* :class:`ArtifactStore` — the pair of per-stage stores the engine
-  holds: ``profiles`` (the replay-stage artifact, one entry per
-  machine/build) and ``captures`` (the capture-stage artifact, one
-  entry per workload, shared by every machine/build that replays it).
+  as :class:`~repro.core.cache.ResultCache` (both are
+  :class:`~repro.core.cache.EntryStore` subclasses);
+* :class:`SetIndex` — the generate-stage store: the ordered workload
+  fingerprints of each default workload set, keyed by the set's recipe
+  (:func:`~repro.core.cache.set_key`), so a run computes its keys
+  without minting payloads;
+* :class:`ArtifactStore` — the per-stage stores the engine holds:
+  ``profiles`` (the replay-stage artifact, one entry per
+  machine/build), ``captures`` (the capture-stage artifact, one entry
+  per workload, shared by every machine/build that replays it) and
+  ``sets`` (the workload-set index).
 
-Capture traffic is mirrored under ``engine.artifacts.capture.*``
-(never ``engine.cache.*``, which remains exclusively profile-store
-traffic).
+Capture traffic is mirrored under ``engine.artifacts.capture.*`` and
+index traffic under ``engine.artifacts.sets.*`` (never
+``engine.cache.*``, which remains exclusively profile-store traffic).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import struct
-import time
 import zlib
 from dataclasses import asdict
 from pathlib import Path
@@ -44,7 +48,7 @@ from . import metrics
 from ..machine import telemetry
 from ..machine.capture import TelemetryCapture
 from ..machine.telemetry import MethodCounters
-from .cache import CACHE_FORMAT, CacheStats, ResultCache
+from .cache import CACHE_FORMAT, EntryStore, ResultCache, payload_digest
 from .errors import CacheCorruption
 
 __all__ = [
@@ -52,6 +56,7 @@ __all__ = [
     "encode_capture",
     "decode_capture",
     "CaptureStore",
+    "SetIndex",
     "ArtifactStore",
 ]
 
@@ -152,111 +157,160 @@ def decode_capture(blob: bytes) -> TelemetryCapture:
         raise CacheCorruption(f"capture artifact: bad header ({exc})") from exc
 
 
-class CaptureStore:
+class CaptureStore(EntryStore):
     """Content-addressed on-disk store of encoded telemetry captures.
 
-    Mirrors :class:`~repro.core.cache.ResultCache` semantics — atomic
-    replace on write, quarantine (rename to ``*.bin.corrupt``) plus
-    miss on an undecodable read — for ``.bin`` entries at
-    ``<root>/<key[:2]>/<key>.bin``.  Traffic is counted per instance
-    in :attr:`stats` and process-wide under
-    ``engine.artifacts.capture.*``.
+    :class:`~repro.core.cache.EntryStore` semantics — atomic replace on
+    write, quarantine (rename to ``*.bin.corrupt``) plus miss on an
+    undecodable read — for ``.bin`` entries at
+    ``<root>/<key[:2]>/<key>.bin``.  Traffic is counted per instance in
+    :attr:`stats` and process-wide under ``engine.artifacts.capture.*``.
     """
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.bin"
+    suffix = ".bin"
+    label = "capture"
+    counter_prefix = "engine.artifacts.capture"
 
     def get(self, key: str) -> TelemetryCapture | None:
         """Look up a capture; a miss or corrupt entry returns None."""
-        path = self._path(key)
-        started = time.perf_counter()
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            self.stats.misses += 1
-            telemetry.record("engine.artifacts.capture.misses")
-            self._observe_lookup("miss", started)
-            return None
-        try:
-            capture = decode_capture(raw)
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            self.stats.misses += 1
-            telemetry.record("engine.artifacts.capture.misses")
-            self._observe_lookup("miss", started)
-            return None
-        self.stats.hits += 1
-        self.stats.bytes_read += len(raw)
-        telemetry.record("engine.artifacts.capture.hits")
-        telemetry.record("engine.artifacts.capture.bytes_read", len(raw))
-        self._observe_lookup("hit", started)
-        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store="capture", direction="read")
-        return capture
-
-    def _observe_lookup(self, result: str, started: float) -> None:
-        metrics.observe(
-            metrics.CACHE_LOOKUP_SECONDS,
-            time.perf_counter() - started,
-            store="capture",
-            result=result,
-        )
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="capture", event=result)
-
-    def _quarantine(self, path: Path) -> None:
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:  # pragma: no cover - racing unlink/permissions
-            pass
-        self.stats.quarantined += 1
-        telemetry.record("engine.artifacts.capture.quarantined")
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="capture", event="quarantined")
+        return self._load(key, decode_capture)
 
     def put(self, key: str, capture: TelemetryCapture) -> None:
         """Store an encoded capture under ``key`` (atomic replace)."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        raw = encode_capture(capture)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(raw)
-        os.replace(tmp, path)
-        self.stats.bytes_written += len(raw)
-        telemetry.record("engine.artifacts.capture.bytes_written", len(raw))
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="capture", event="write")
-        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store="capture", direction="write")
+        self._store(key, encode_capture(capture))
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.bin"))
 
-    def total_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.root.glob("*/*.bin"))
+#: The fields of one :func:`~repro.core.cache.workload_fingerprint`.
+_FINGERPRINT_FIELDS = frozenset(("name", "benchmark", "kind", "seed", "params", "payload"))
 
-    def quarantined_entries(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.bin.corrupt"))
 
-    def wipe(self) -> int:
-        """Delete every entry; returns the number of live entries removed."""
-        n = 0
-        for path in self.root.glob("*/*.bin.corrupt"):
-            path.unlink(missing_ok=True)
-        for path in self.root.glob("*/*.bin"):
-            path.unlink(missing_ok=True)
-            n += 1
-        for shard in self.root.glob("*"):
-            if shard.is_dir():
-                try:
-                    shard.rmdir()
-                except OSError:
-                    pass
-        return n
+def _json_native(fingerprint: Mapping[str, Any]) -> bool:
+    """True when every field survives a JSON round trip unchanged, so a
+    fingerprint read back from the index hashes to the same keys."""
+    return set(fingerprint) == _FINGERPRINT_FIELDS and all(
+        type(v) in (str, int, type(None)) for v in fingerprint.values()
+    )
+
+
+class SetIndex(EntryStore):
+    """The generate-stage store: recipe key → ordered workload fingerprints.
+
+    One JSON entry per default workload set at
+    ``<root>/<key[:2]>/<key>.json``, keyed by
+    :func:`~repro.core.cache.set_key`.  An entry carries its own key,
+    benchmark, base seed and a digest over the ordered fingerprint list,
+    so a truncated, bit-flipped, foreign, reordered or shortened entry
+    fails to decode and is quarantined like any other corrupt artifact —
+    it can never serve a wrong fingerprint.  Traffic lands on the cache
+    metric families with ``store="sets"`` and under
+    ``engine.artifacts.sets.*``; :attr:`stale` counts entries a fresh
+    mint found out of date and replaced.
+    """
+
+    label = "sets"
+    counter_prefix = "engine.artifacts.sets"
+
+    def __init__(self, root: str | Path):
+        super().__init__(root)
+        self.stale = 0
+
+    def get(
+        self, key: str, benchmark_id: str, base_seed: int
+    ) -> tuple[dict[str, Any], ...] | None:
+        """The indexed fingerprints of one set; None on a miss or corrupt entry."""
+
+        def decode(raw: bytes) -> tuple[dict[str, Any], ...]:
+            entry = json.loads(raw)
+            return _decode_set(entry, key, benchmark_id, base_seed)
+
+        return self._load(key, decode)
+
+    def put(
+        self,
+        key: str,
+        benchmark_id: str,
+        base_seed: int,
+        fingerprints: "list[dict[str, Any]] | tuple[dict[str, Any], ...]",
+    ) -> None:
+        """Index one minted set; nothing is written when a fingerprint
+        would not survive the JSON round trip (such a set is re-minted
+        by every process that needs it)."""
+        fps = [dict(fp) for fp in fingerprints]
+        if not all(_json_native(fp) for fp in fps):
+            return
+        entry = {
+            "format": CACHE_FORMAT,
+            "key": key,
+            "benchmark": benchmark_id,
+            "base_seed": base_seed,
+            "digest": payload_digest(fps),
+            "workloads": fps,
+        }
+        self._store(key, json.dumps(entry, separators=(",", ":")).encode())
+
+    def replace_stale(
+        self,
+        key: str,
+        benchmark_id: str,
+        base_seed: int,
+        fingerprints: "tuple[dict[str, Any], ...]",
+    ) -> None:
+        """Overwrite an entry a fresh mint disagrees with, and count it."""
+        self.stale += 1
+        telemetry.record(f"{self.counter_prefix}.stale")
+        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store=self.label, event="stale")
+        self.put(key, benchmark_id, base_seed, fingerprints)
+
+    def quarantine(self, key: str) -> None:
+        """Move one entry aside so the next run re-mints its set."""
+        self._quarantine(self._path(key))
+
+    def recipes(self) -> list[tuple[str, str, int]]:
+        """``(key, benchmark, base_seed)`` of every decodable entry, by key.
+
+        Undecodable entries are quarantined on the way.
+        """
+        out = []
+        for path in sorted(self._entries()):
+            try:
+                entry = json.loads(path.read_bytes())
+                _decode_set(entry, path.stem, entry["benchmark"], entry["base_seed"])
+            except (OSError, ValueError, KeyError, TypeError):
+                self._quarantine(path)
+                continue
+            out.append((path.stem, entry["benchmark"], entry["base_seed"]))
+        return out
+
+
+def _decode_set(
+    entry: Any, key: str, benchmark_id: str, base_seed: int
+) -> tuple[dict[str, Any], ...]:
+    """Validate one index entry against the recipe it is read for."""
+    if not isinstance(entry, dict) or entry.get("format") != CACHE_FORMAT:
+        raise CacheCorruption("set index: unsupported format")
+    if (
+        entry.get("key") != key
+        or entry.get("benchmark") != benchmark_id
+        or entry.get("base_seed") != base_seed
+    ):
+        raise CacheCorruption("set index: entry belongs to another recipe")
+    fps = entry["workloads"]
+    if not isinstance(fps, list) or not fps:
+        raise CacheCorruption("set index: no workloads")
+    for fp in fps:
+        if not isinstance(fp, dict) or not _json_native(fp):
+            raise CacheCorruption("set index: malformed fingerprint")
+        if fp["benchmark"] != benchmark_id:
+            raise CacheCorruption("set index: fingerprint of another benchmark")
+    if len({fp["name"] for fp in fps}) != len(fps):
+        raise CacheCorruption("set index: duplicate workload names")
+    if entry.get("digest") != payload_digest(fps):
+        raise CacheCorruption("set index: digest mismatch")
+    return tuple(fps)
 
 
 class ArtifactStore:
-    """The engine's pair of per-stage stores under one cache root.
+    """The engine's per-stage stores under one cache root.
 
     ``profiles`` is the replay-stage store — one
     :class:`~repro.machine.profiler.ExecutionProfile` per (workload,
@@ -264,9 +318,11 @@ class ArtifactStore:
     caller handed the engine, so their ``cache.stats`` keep working.
     ``captures`` lives under ``<root>/capture/`` — one
     :class:`~repro.machine.capture.TelemetryCapture` per workload,
-    shared across every machine/build.  The subdirectory is invisible
-    to the profile store's ``*/*.json`` globs, so profile entry counts
-    and :meth:`ResultCache.wipe` semantics are unchanged.
+    shared across every machine/build.  ``sets`` lives under
+    ``<root>/sets/`` — the generate-stage :class:`SetIndex`, one entry
+    per default workload set.  Both subdirectories are invisible to the
+    profile store's ``*/*.json`` globs, so profile entry counts and
+    :meth:`ResultCache.wipe` semantics are unchanged.
     """
 
     def __init__(
@@ -281,11 +337,12 @@ class ArtifactStore:
             profiles = ResultCache(root)
         self.profiles = profiles
         self.captures = CaptureStore(Path(profiles.root) / "capture")
+        self.sets = SetIndex(Path(profiles.root) / "sets")
 
     @property
     def root(self) -> Path:
         return self.profiles.root
 
     def wipe(self) -> int:
-        """Wipe both stages; returns total live entries removed."""
-        return self.profiles.wipe() + self.captures.wipe()
+        """Wipe every stage; returns total live entries removed."""
+        return self.profiles.wipe() + self.captures.wipe() + self.sets.wipe()

@@ -29,8 +29,8 @@ import hashlib
 import json
 import os
 import time
-from collections.abc import Mapping, Set
-from dataclasses import asdict, fields, is_dataclass
+from collections.abc import Callable, Iterator, Mapping, Set
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -47,12 +47,15 @@ from .workload import Workload
 __all__ = [
     "CACHE_FORMAT",
     "payload_digest",
+    "WorkloadRef",
     "workload_fingerprint",
+    "set_key",
     "cache_key",
     "capture_key",
     "profile_to_dict",
     "profile_from_dict",
     "CacheStats",
+    "EntryStore",
     "ResultCache",
 ]
 
@@ -128,8 +131,28 @@ def payload_digest(obj: Any) -> str:
     return h.hexdigest()
 
 
-def workload_fingerprint(workload: Workload) -> dict[str, Any]:
+@dataclass(frozen=True, eq=False)
+class WorkloadRef:
+    """A workload known by its fingerprint alone, without its payload.
+
+    The workload-set index (:class:`~repro.core.artifacts.SetIndex`)
+    stores every default workload's fingerprint, so a run can name its
+    cells and compute their keys without minting the payloads.
+    :func:`cache_key` and :func:`capture_key` accept a ref wherever they
+    accept a :class:`Workload` and hash it to the same key.
+    """
+
+    fingerprint: Mapping[str, Any]
+
+    @property
+    def name(self) -> str:
+        return self.fingerprint["name"]
+
+
+def workload_fingerprint(workload: Workload | WorkloadRef) -> dict[str, Any]:
     """The workload identity that participates in the cache key."""
+    if isinstance(workload, WorkloadRef):
+        return dict(workload.fingerprint)
     return {
         "name": workload.name,
         "benchmark": workload.benchmark,
@@ -155,9 +178,44 @@ def _descriptor_tokens(benchmark_id: str) -> dict[str, str]:
     return REGISTRY.cache_tokens(benchmark_id)
 
 
+def set_key(benchmark_id: str, base_seed: int) -> str | None:
+    """Recipe key of one default (Alberta) workload set.
+
+    The paper ships its workloads as generator scripts plus seeds, so a
+    set's identity is its recipe: the artifact format, the repro
+    version, the generator's registry descriptor fingerprint and the
+    ``module.qualname`` of its factory, the benchmark's descriptor
+    tokens, and the base seed.  Editing what a generator emits without
+    bumping its descriptor version leaves this key unchanged — ``repro
+    cache verify`` is the guard that catches it.  ``None`` when no
+    generator is registered for ``benchmark_id``.
+    """
+    from .. import __version__
+    from .registry import REGISTRY
+
+    generator = REGISTRY.find("generator", benchmark_id)
+    if generator is None:
+        return None
+    factory = generator.factory
+    ident = {
+        "format": CACHE_FORMAT,
+        "version": __version__,
+        "stage": "generate",
+        "benchmark": benchmark_id,
+        "generator": generator.fingerprint(),
+        "factory": f"{getattr(factory, '__module__', '?')}."
+        f"{getattr(factory, '__qualname__', '?')}",
+        "descriptors": _descriptor_tokens(benchmark_id),
+        "base_seed": base_seed,
+    }
+    h = hashlib.sha256()
+    _update(h, ident)
+    return h.hexdigest()
+
+
 def cache_key(
     benchmark_id: str,
-    workload: Workload,
+    workload: Workload | WorkloadRef,
     machine: MachineConfig | None = None,
     *,
     build: str | None = None,
@@ -203,7 +261,7 @@ def cache_key(
     return h.hexdigest()
 
 
-def capture_key(benchmark_id: str, workload: Workload) -> str:
+def capture_key(benchmark_id: str, workload: Workload | WorkloadRef) -> str:
     """Stable key for one captured telemetry stream.
 
     Deliberately *machine-independent*: the capture stage records what
@@ -349,21 +407,27 @@ class CacheStats:
         )
 
 
-class ResultCache:
-    """Content-addressed on-disk store of serialized execution profiles.
+class EntryStore:
+    """The on-disk discipline every artifact store shares.
 
-    Entries live at ``<root>/<key[:2]>/<key>.json`` and are written
+    Entries live at ``<root>/<key[:2]>/<key><suffix>`` and are written
     atomically (temp file + ``os.replace``), so concurrent writers of
     the *same* key are safe — last writer wins with identical content.
-    A corrupt or truncated entry is quarantined (renamed to
-    ``*.json.corrupt``), reads as a miss, and is re-created by the next
-    :meth:`put`.
+    An entry that exists but cannot be decoded — truncated write, bit
+    rot, foreign format — is *quarantined*: renamed to
+    ``<key><suffix>.corrupt`` so the evidence survives for inspection,
+    counted, and reported as a miss so the artifact is simply rebuilt
+    instead of crashing the run.
 
-    Invalidation is purely key-based: any change to the workload
-    content, machine config, serialization format, or repro version
-    produces a different key, and stale entries are simply never read
-    again.  :meth:`wipe` removes everything under the root.
+    Subclasses set :attr:`suffix`, the ``store`` label of the cache
+    metric families (:attr:`label`) and the dotted telemetry prefix
+    their traffic is mirrored under (:attr:`counter_prefix`); they
+    decode in :meth:`_load` and encode before :meth:`_store`.
     """
+
+    suffix = ".json"
+    label = "profile"
+    counter_prefix = "engine.cache"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -371,52 +435,45 @@ class ResultCache:
         self.stats = CacheStats()
 
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self.root / key[:2] / f"{key}{self.suffix}"
 
-    def get(self, key: str) -> ExecutionProfile | None:
-        """Look up a profile; a miss (or unreadable entry) returns None.
-
-        An entry that exists but cannot be decoded — truncated write,
-        bit rot, foreign format — is *quarantined*: renamed to
-        ``<key>.json.corrupt`` so the evidence survives for inspection,
-        counted under ``engine.cache.quarantined``, and reported as a
-        miss so the cell is simply re-profiled (and re-cached) instead
-        of crashing the run.
-        """
+    def _load(self, key: str, decode: Callable[[bytes], Any]) -> Any:
+        """Read and decode one entry; a miss or corrupt entry returns None."""
         path = self._path(key)
         started = time.perf_counter()
         try:
             raw = path.read_bytes()
         except OSError:
-            self.stats.misses += 1
-            telemetry.record("engine.cache.misses")
-            self._observe_lookup("miss", started)
+            self._miss(started)
             return None
         try:
-            profile = profile_from_dict(json.loads(raw))
+            value = decode(raw)
         except (ValueError, KeyError, TypeError):
             # Includes json.JSONDecodeError and CacheCorruption.
             self._quarantine(path)
-            self.stats.misses += 1
-            telemetry.record("engine.cache.misses")
-            self._observe_lookup("miss", started)
+            self._miss(started)
             return None
         self.stats.hits += 1
         self.stats.bytes_read += len(raw)
-        telemetry.record("engine.cache.hits")
-        telemetry.record("engine.cache.bytes_read", len(raw))
+        telemetry.record(f"{self.counter_prefix}.hits")
+        telemetry.record(f"{self.counter_prefix}.bytes_read", len(raw))
         self._observe_lookup("hit", started)
-        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store="profile", direction="read")
-        return profile
+        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store=self.label, direction="read")
+        return value
+
+    def _miss(self, started: float) -> None:
+        self.stats.misses += 1
+        telemetry.record(f"{self.counter_prefix}.misses")
+        self._observe_lookup("miss", started)
 
     def _observe_lookup(self, result: str, started: float) -> None:
         metrics.observe(
             metrics.CACHE_LOOKUP_SECONDS,
             time.perf_counter() - started,
-            store="profile",
+            store=self.label,
             result=result,
         )
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="profile", event=result)
+        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store=self.label, event=result)
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside (best effort) and count it."""
@@ -425,8 +482,71 @@ class ResultCache:
         except OSError:  # pragma: no cover - racing unlink/permissions
             pass
         self.stats.quarantined += 1
-        telemetry.record("engine.cache.quarantined")
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="profile", event="quarantined")
+        telemetry.record(f"{self.counter_prefix}.quarantined")
+        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store=self.label, event="quarantined")
+
+    def _store(self, key: str, raw: bytes) -> None:
+        """Write encoded bytes under ``key`` (atomic replace)."""
+        path = self._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_bytes(raw)
+        os.replace(tmp, path)
+        self.stats.bytes_written += len(raw)
+        telemetry.record(f"{self.counter_prefix}.bytes_written", len(raw))
+        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store=self.label, event="write")
+        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store=self.label, direction="write")
+
+    def _entries(self) -> Iterator[Path]:
+        return self.root.glob(f"*/*{self.suffix}")
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._entries())
+
+    def total_bytes(self) -> int:
+        return sum(p.stat().st_size for p in self._entries())
+
+    def quarantined_entries(self) -> int:
+        """How many corrupt entries have been moved aside on disk."""
+        return sum(1 for _ in self.root.glob(f"*/*{self.suffix}.corrupt"))
+
+    def wipe(self) -> int:
+        """Delete every entry (and quarantined ``*.corrupt`` remains);
+        returns the number of live entries removed."""
+        n = 0
+        for path in self.root.glob(f"*/*{self.suffix}.corrupt"):
+            path.unlink(missing_ok=True)
+        for path in self._entries():
+            path.unlink(missing_ok=True)
+            n += 1
+        for shard in self.root.glob("*"):
+            if shard.is_dir():
+                try:
+                    shard.rmdir()
+                except OSError:
+                    pass
+        return n
+
+
+class ResultCache(EntryStore):
+    """Content-addressed on-disk store of serialized execution profiles.
+
+    Entries live at ``<root>/<key[:2]>/<key>.json`` with the atomic
+    write and quarantine-on-corruption discipline of
+    :class:`EntryStore`; quarantine is counted under
+    ``engine.cache.quarantined``, and the entry is re-created by the
+    next :meth:`put`.
+
+    Invalidation is purely key-based: any change to the workload
+    content, machine config, serialization format, or repro version
+    produces a different key, and stale entries are simply never read
+    again.  :meth:`wipe` removes every profile; the other stages' stores
+    live in subdirectories its ``*/*.json`` globs never reach.
+    """
+
+    def get(self, key: str) -> ExecutionProfile | None:
+        """Look up a profile; a miss (or unreadable entry) returns None."""
+        return self._load(key, lambda raw: profile_from_dict(json.loads(raw)))
 
     def put(
         self,
@@ -443,29 +563,17 @@ class ResultCache:
         purely informational (``repro cache info`` reports the counts)
         and readers ignore it.
         """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = profile_to_dict(profile)
         if replay_mode is not None:
             payload["replay_mode"] = replay_mode
-        raw = json.dumps(payload, separators=(",", ":")).encode()
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(raw)
-        os.replace(tmp, path)
-        self.stats.bytes_written += len(raw)
-        telemetry.record("engine.cache.bytes_written", len(raw))
-        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="profile", event="write")
-        metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store="profile", direction="write")
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        self._store(key, json.dumps(payload, separators=(",", ":")).encode())
 
     def replay_modes(self) -> dict[str, int]:
         """Provenance counts over stored entries: how many profiles were
         written by a ``"batched"`` multi-config replay, a ``"per-config"``
         replay, or predate the envelope key (``"unlabeled"``)."""
         counts = {"batched": 0, "per-config": 0, "unlabeled": 0}
-        for path in self.root.glob("*/*.json"):
+        for path in self._entries():
             try:
                 mode = json.loads(path.read_bytes()).get("replay_mode")
             except (OSError, ValueError):
@@ -475,27 +583,3 @@ class ResultCache:
             else:
                 counts["unlabeled"] += 1
         return counts
-
-    def total_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.root.glob("*/*.json"))
-
-    def quarantined_entries(self) -> int:
-        """How many corrupt entries have been moved aside on disk."""
-        return sum(1 for _ in self.root.glob("*/*.json.corrupt"))
-
-    def wipe(self) -> int:
-        """Delete every entry (and quarantined ``*.corrupt`` remains);
-        returns the number of live entries removed."""
-        n = 0
-        for path in self.root.glob("*/*.json.corrupt"):
-            path.unlink(missing_ok=True)
-        for path in self.root.glob("*/*.json"):
-            path.unlink(missing_ok=True)
-            n += 1
-        for shard in self.root.glob("*"):
-            if shard.is_dir():
-                try:
-                    shard.rmdir()
-                except OSError:
-                    pass
-        return n

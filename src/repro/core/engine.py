@@ -41,11 +41,16 @@ deterministic.  The engine exploits both properties:
   ``engine.run.*`` telemetry counters and optionally journaled as
   JSONL (see ``repro suite --trace`` / ``repro trace``).
 
-Worker processes regenerate default Alberta workload sets from
-``(benchmark_id, base_seed)`` instead of receiving pickled payloads
-(sets are memoized per process); explicitly-provided workload sets are
-shipped to the workers as-is.  Profiles returned from workers and from
-the cache carry ``output=None`` — the summaries never read the
+Default Alberta workload sets are keyed by recipe, not minted: the
+store's workload-set index (:class:`~repro.core.artifacts.SetIndex`)
+holds every set's workload fingerprints, so cells are named and keyed
+without their payloads, and a set is minted only on an index miss or
+when one of its cells actually executes — at most once per process
+(see :class:`_WorkloadSets`).  Worker processes regenerate what they
+execute from ``(benchmark_id, base_seed)`` instead of receiving pickled
+payloads; explicitly-provided workload sets are shipped to the workers
+as-is and keep payload-digest keys.  Profiles returned from workers and
+from the cache carry ``output=None`` — the summaries never read the
 benchmark output.
 
 Fault injection (for tests and chaos drills): set
@@ -61,11 +66,13 @@ are testable deterministically.
 from __future__ import annotations
 
 import os
+import random
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError  # distinct type pre-3.11
 from dataclasses import dataclass, replace
 from fnmatch import fnmatch
+from itertools import zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -74,8 +81,15 @@ from ..machine.capture import TelemetryCapture, capture_execution, replay_captur
 from ..machine.cost import MachineConfig
 from ..machine.profiler import ExecutionProfile
 from . import metrics
-from .artifacts import ArtifactStore
-from .cache import ResultCache, cache_key, capture_key
+from .artifacts import ArtifactStore, SetIndex
+from .cache import (
+    ResultCache,
+    WorkloadRef,
+    cache_key,
+    capture_key,
+    set_key,
+    workload_fingerprint,
+)
 from .errors import CellFailure, WorkloadError
 from .registry import (
     CAP_CAPTURE_ONLY,
@@ -97,6 +111,7 @@ __all__ = [
     "CharacterizationEngine",
     "CellOutcome",
     "default_workers",
+    "verify_workload_sets",
     "FAULT_INJECT_ENV",
 ]
 
@@ -222,9 +237,144 @@ class CellOutcome:
 
 # ----------------------------------------------------------- worker side
 
-# Per-worker-process memoization: regenerating a 30-workload Alberta set
-# per cell would swamp the run cost for cheap benchmarks.
-_WORKER_SETS: dict[tuple[str, int], WorkloadSet] = {}
+class _WorkloadSets:
+    """Process-wide resolver of default (Alberta) workload sets.
+
+    Every engine and Session path that defaults to the Alberta set goes
+    through here.  :meth:`resolve` names a set's workloads for keying:
+    from the store's :class:`~repro.core.artifacts.SetIndex` when it
+    holds the set's recipe key, otherwise by minting the set and
+    indexing its fingerprints.  :meth:`workloads` hands out the minted
+    payloads to the cells that execute (inline, or in a pool worker's
+    own copy of this resolver).  A set is minted at most once per
+    process, and both memos are keyed by the recipe key
+    (:func:`~repro.core.cache.set_key`), so re-registering a generator
+    at a new version never serves the old set.
+
+    A mint is the ground truth: when it happens for a set an index
+    served earlier in this process, the index entry is compared with
+    it and replaced if stale (``store="sets", event="stale"``).  Every
+    mint is counted as ``store="sets", event="mint"``.
+
+    Deliberately unlocked: two threads may both mint a set, which is
+    deterministic and so only wasted work, whereas a lock held by one
+    thread while another forks a process pool would be inherited held
+    by the workers.
+    """
+
+    def __init__(self) -> None:
+        self._minted: dict[str, WorkloadSet] = {}
+        self._fingerprints: dict[str, tuple[dict[str, Any], ...]] = {}
+        #: recipe key -> (index, fingerprints) of sets served from an index.
+        self._served: dict[str, tuple[SetIndex, tuple[dict[str, Any], ...]]] = {}
+        #: Sets minted by this process; stages journal the delta.
+        self.mints = 0
+
+    def resolve(
+        self, benchmark_id: str, base_seed: int, index: SetIndex | None
+    ) -> "list[Workload] | list[WorkloadRef]":
+        """The set's workloads in order — payload-free refs when keyed."""
+        key = set_key(benchmark_id, base_seed)
+        if key is None:  # no generator: let the registry raise its error
+            return list(alberta_workloads(benchmark_id, base_seed))
+        if index is None:
+            return list(self._mint(key, benchmark_id, base_seed))
+        fps = index.get(key, benchmark_id, base_seed)
+        if fps is None:
+            self._mint(key, benchmark_id, base_seed)
+            fps = self._fingerprints_of(key)
+            index.put(key, benchmark_id, base_seed, fps)
+        elif key in self._minted:
+            fps = self._heal(index, key, benchmark_id, base_seed, fps)
+        else:
+            self._served[key] = (index, fps)
+        return [WorkloadRef(fp) for fp in fps]
+
+    def workloads(self, benchmark_id: str, base_seed: int) -> WorkloadSet:
+        """The minted set (with payloads), minting on a memo miss."""
+        key = set_key(benchmark_id, base_seed)
+        if key is None:
+            return alberta_workloads(benchmark_id, base_seed)
+        return self._mint(key, benchmark_id, base_seed)
+
+    def _mint(self, key: str, benchmark_id: str, base_seed: int) -> WorkloadSet:
+        wset = self._minted.get(key)
+        if wset is not None:
+            return wset
+        # Through this module's own name, so wrappers of
+        # ``engine.alberta_workloads`` see every mint.
+        wset = self._minted[key] = alberta_workloads(benchmark_id, base_seed)
+        self.mints += 1
+        metrics.inc(metrics.CACHE_EVENTS_TOTAL, store="sets", event="mint")
+        served = self._served.pop(key, None)
+        if served is not None:
+            index, indexed = served
+            self._heal(index, key, benchmark_id, base_seed, indexed)
+        return wset
+
+    def _heal(
+        self,
+        index: SetIndex,
+        key: str,
+        benchmark_id: str,
+        base_seed: int,
+        indexed: tuple[dict[str, Any], ...],
+    ) -> tuple[dict[str, Any], ...]:
+        """Replace an index entry the minted set disagrees with."""
+        minted = self._fingerprints_of(key)
+        if minted != indexed:
+            index.replace_stale(key, benchmark_id, base_seed, minted)
+        return minted
+
+    def _fingerprints_of(self, key: str) -> tuple[dict[str, Any], ...]:
+        fps = self._fingerprints.get(key)
+        if fps is None:
+            fps = self._fingerprints[key] = tuple(
+                workload_fingerprint(w) for w in self._minted[key]
+            )
+        return fps
+
+
+_SETS = _WorkloadSets()
+
+
+def verify_workload_sets(
+    index: SetIndex, *, sample: int | None = None, seed: int = 0
+) -> "tuple[list[tuple[str, int, list[str]]], int]":
+    """Re-mint index entries and compare every workload fingerprint.
+
+    ``sample`` picks that many entries (seeded by ``seed``); ``None``
+    checks all of them.  Returns ``(checked, skipped)``: one
+    ``(benchmark, base_seed, stale workload names)`` triple per
+    re-minted entry — no names means the entry matches — and how many
+    sampled entries are keyed for another repro version or generator
+    (no current run reads those).  A stale entry is quarantined, so the
+    next run re-mints its set.
+    """
+    recipes = index.recipes()
+    if sample is not None and sample < len(recipes):
+        recipes = sorted(random.Random(seed).sample(recipes, sample))
+    checked: list[tuple[str, int, list[str]]] = []
+    skipped = 0
+    for key, benchmark_id, base_seed in recipes:
+        if set_key(benchmark_id, base_seed) != key:
+            skipped += 1
+            continue
+        stored = index.get(key, benchmark_id, base_seed)
+        if stored is None:  # quarantined since it was listed
+            continue
+        fresh = [
+            workload_fingerprint(w) for w in alberta_workloads(benchmark_id, base_seed)
+        ]
+        stale = [
+            (new or old)["name"]
+            for old, new in zip_longest(stored, fresh)
+            if old != new
+        ]
+        if stale:
+            index.quarantine(key)
+        checked.append((benchmark_id, base_seed, stale))
+    return checked, skipped
 _WORKER_BENCHMARKS: dict[str, Any] = {}
 
 
@@ -238,11 +388,7 @@ def _worker_benchmark(benchmark_id: str) -> Any:
 def _worker_workload(cell: _Cell) -> Workload:
     if cell.workload is not None:
         return cell.workload
-    key = (cell.benchmark_id, cell.base_seed)
-    workloads = _WORKER_SETS.get(key)
-    if workloads is None:
-        workloads = _WORKER_SETS[key] = alberta_workloads(cell.benchmark_id, cell.base_seed)
-    return workloads[cell.workload_name]
+    return _SETS.workloads(cell.benchmark_id, cell.base_seed)[cell.workload_name]
 
 
 class _InjectedFault(RuntimeError):
@@ -331,9 +477,12 @@ def _run_cell(
     try:
         with metrics.collector(reg):
             metrics.inc(metrics.WORKER_CELLS_TOTAL, worker=str(os.getpid()))
+            mints = _SETS.mints
             workload = _worker_workload(cell)
             t1 = time.perf_counter()
-            stages.append(["generate", 0.0, t1 - t0, tracker.lap()])
+            res = tracker.lap()
+            res["minted"] = _SETS.mints - mints
+            stages.append(["generate", 0.0, t1 - t0, res])
             capture = capture_execution(_worker_benchmark(cell.benchmark_id), workload)
             t2 = time.perf_counter()
             stages.append(["capture", t1 - t0, t2 - t1, tracker.lap()])
@@ -1159,11 +1308,13 @@ class CharacterizationEngine:
             raise WorkloadError("characterize_sweep: need at least one machine config")
         _require_capability(benchmark_id, CAP_SWEEPABLE, stage="characterize_sweep")
         alberta = workloads is None
-        if alberta:
-            workloads = alberta_workloads(benchmark_id, base_seed)
-        if len(workloads) == 0:
+        wl = (
+            self.default_workloads(benchmark_id, base_seed)
+            if alberta
+            else list(workloads)
+        )
+        if not wl:
             raise WorkloadError(f"characterize_sweep: empty workload set for {benchmark_id}")
-        wl = list(workloads)
         quarantined_before = self._quarantined_total()
         cache_state = "off" if self.store is None else "miss"
         token = sampling.cache_token() if sampling is not None else None
@@ -1378,6 +1529,33 @@ class CharacterizationEngine:
 
     # --------------------------------------------------- characterization
 
+    def default_workloads(
+        self, benchmark_id: str, base_seed: int = 0
+    ) -> "list[Workload] | list[WorkloadRef]":
+        """Resolve one default workload set, journaling its generate stage.
+
+        Goes through the process-wide resolver: an index hit names the
+        workloads by fingerprint without minting them; a miss mints the
+        set once per process and indexes it.  The run-level ``generate``
+        stage span covers the resolution, and its ``minted`` resource
+        says whether a set was minted.
+        """
+        started = self.trace.now()
+        tracker = StageResourceTracker()
+        mints = _SETS.mints
+        index = self.store.sets if self.store is not None else None
+        quarantined = index.stats.quarantined if index is not None else 0
+        wl = _SETS.resolve(benchmark_id, base_seed, index)
+        res = tracker.lap()
+        res["minted"] = _SETS.mints - mints
+        if index is not None:
+            self.trace.quarantine(index.stats.quarantined - quarantined)
+        self._emit_stage(
+            "generate", benchmark_id, "-", started, self.trace.now() - started,
+            resources=res,
+        )
+        return wl
+
     def characterize_run(
         self,
         benchmark_id: str,
@@ -1397,11 +1575,13 @@ class CharacterizationEngine:
         from .characterize import assemble_characterization
 
         alberta = workloads is None
-        if alberta:
-            workloads = alberta_workloads(benchmark_id, base_seed)
-        if len(workloads) == 0:
+        wl = (
+            self.default_workloads(benchmark_id, base_seed)
+            if alberta
+            else list(workloads)
+        )
+        if not wl:
             raise WorkloadError(f"characterize: empty workload set for {benchmark_id}")
-        wl = list(workloads)
         cells = [
             _Cell(
                 benchmark_id=benchmark_id,
@@ -1474,7 +1654,7 @@ class CharacterizationEngine:
         from .characterize import assemble_characterization
 
         ids = sorted(ids if ids is not None else benchmark_ids(suite, table2_only=table2_only))
-        sets = {bid: alberta_workloads(bid, base_seed) for bid in ids}
+        sets = {bid: self.default_workloads(bid, base_seed) for bid in ids}
         cells: list[_Cell] = []
         flat: list[Workload] = []
         for bid in ids:
@@ -1496,7 +1676,7 @@ class CharacterizationEngine:
         out: list[BenchmarkCharacterization] = []
         cursor = 0
         for bid in ids:
-            wl = list(sets[bid])
+            wl = sets[bid]
             chunk = outcomes[cursor : cursor + len(wl)]
             cursor += len(wl)
             pairs = [(w, oc.profile) for w, oc in zip(wl, chunk) if oc.ok]

@@ -162,6 +162,23 @@ def _counter_by_benchmark(snapshot: Mapping[str, Any], family: str) -> dict[str,
     return out
 
 
+def _store_events(record: Mapping[str, Any], store: str) -> dict[str, float]:
+    """One store's ``repro_cache_events_total`` series, by event."""
+    fam = ((record.get("metrics") or {}).get("metrics") or {}).get(
+        "repro_cache_events_total"
+    )
+    out: dict[str, float] = {}
+    if not fam:
+        return out
+    labels = list(fam.get("labels", ()))
+    for s in fam.get("series", ()):
+        by_name = dict(zip(labels, s["labels"]))
+        if by_name.get("store") == store:
+            event = by_name.get("event", "?")
+            out[event] = out.get(event, 0.0) + float(s.get("value", 0.0))
+    return out
+
+
 def derive_throughput(snapshot: Mapping[str, Any]) -> dict[str, dict[str, float]]:
     """Per-benchmark replay throughput from the metrics snapshot.
 
@@ -765,6 +782,12 @@ def render_record(record: Mapping[str, Any]) -> str:
             if k in counts
         )
     )
+    sets = _store_events(record, "sets")
+    if sets:
+        lines.append(
+            f"  workload sets: {sets.get('hit', 0):.0f} index hits, "
+            f"{sets.get('mint', 0):.0f} minted"
+        )
     throughput = record.get("throughput") or {}
     for bench, t in sorted(throughput.items()):
         if t.get("eps"):

@@ -263,7 +263,7 @@ CACHE_LOOKUP_SECONDS = _spec(
 CACHE_EVENTS_TOTAL = _spec(
     "repro_cache_events_total",
     "counter",
-    "Artifact-store traffic events (hit/miss/write/quarantined)",
+    "Artifact-store traffic events (hit/miss/write/quarantined; sets: stale/mint)",
     ("store", "event"),
 )
 CACHE_IO_BYTES_TOTAL = _spec(

@@ -50,12 +50,12 @@ from ..machine.cost import MachineConfig
 from ..machine.profiler import ExecutionProfile
 from . import metrics as metrics_mod
 from .artifacts import ArtifactStore
-from .cache import ResultCache, payload_digest
+from .cache import ResultCache, WorkloadRef, payload_digest
 from .engine import _ENGINE_MACHINE, CharacterizationEngine, CellOutcome, _Cell
-from .errors import CellFailure
+from .errors import CellFailure, UnknownScenarioError
 from .ledger import LEDGER_ENV, RunLedger, build_record
 from .metrics import MetricsRegistry
-from .registry import REGISTRY, alberta_workloads
+from .registry import REGISTRY
 from .resources import render_collapsed
 from .sweep import ENGINE_MACHINE, MachineGrid, ReplayRequest, SweepRequest
 from .trace import RunSummary, TraceWriter, export_chrome_trace
@@ -374,11 +374,12 @@ class Session:
         :meth:`replay` any number of times.  ``None`` only under
         ``strict=False`` when the capture failed.
         """
-        caps = self.capture_set(
-            benchmark_id, [self._resolve(benchmark_id, workload, base_seed)],
-            base_seed=base_seed,
-        )
-        return caps[0]
+        with self._collect():
+            if isinstance(workload, str):
+                wl, alberta = [self._resolve(benchmark_id, workload, base_seed)], True
+            else:
+                wl, alberta = [workload], False
+            return self._capture(benchmark_id, wl, base_seed, alberta)[0]
 
     def capture_set(
         self,
@@ -393,10 +394,19 @@ class Session:
         one capture per workload however many times it is re-requested
         (in-process memo + capture store).
         """
-        alberta = workloads is None
-        if alberta:
-            workloads = alberta_workloads(benchmark_id, base_seed)
-        wl = list(workloads)
+        with self._collect():
+            alberta = workloads is None
+            wl = (
+                self.engine.default_workloads(benchmark_id, base_seed)
+                if alberta
+                else list(workloads)
+            )
+            return self._capture(benchmark_id, wl, base_seed, alberta)
+
+    def _capture(
+        self, benchmark_id: str, wl: list, base_seed: int, alberta: bool
+    ) -> "list[TelemetryCapture | None]":
+        """One engine capture pass; default-set cells carry no payload."""
         cells = [
             _Cell(
                 benchmark_id=benchmark_id,
@@ -407,8 +417,7 @@ class Session:
             )
             for w in wl
         ]
-        with self._collect():
-            outcomes = self.engine.capture_run(cells, wl)
+        outcomes = self.engine.capture_run(cells, wl)
         return [oc.profile if oc.ok else None for oc in outcomes]
 
     def replay(
@@ -476,11 +485,17 @@ class Session:
         return oc.profile if oc.ok else None
 
     def _resolve(
-        self, benchmark_id: str, workload: "Workload | str", base_seed: int
-    ) -> Workload:
-        if isinstance(workload, str):
-            return alberta_workloads(benchmark_id, base_seed)[workload]
-        return workload
+        self, benchmark_id: str, name: str, base_seed: int
+    ) -> "Workload | WorkloadRef":
+        """One named workload of the default set (a payload-free ref
+        when the store's workload-set index holds the set)."""
+        wl = self.engine.default_workloads(benchmark_id, base_seed)
+        for w in wl:
+            if w.name == name:
+                return w
+        raise UnknownScenarioError(
+            f"{benchmark_id} workload", name, [w.name for w in wl]
+        )
 
     def _result(
         self,

@@ -73,6 +73,7 @@ __all__ = [
     "trace_stages",
     "summarize_trace",
     "render_trace_summary",
+    "workload_mints",
     "render_trace_spans",
     "export_chrome_trace",
     "render_top",
@@ -475,6 +476,19 @@ def summarize_trace(path: str | Path) -> RunSummary:
     return RunSummary.from_spans(spans)
 
 
+def workload_mints(stages: Iterable[StageSpan]) -> int:
+    """Workload sets minted during a run, from its ``generate`` stages.
+
+    Run-level stages cover set resolution (an index hit mints nothing);
+    in-cell stages cover the sets executing cells needed.
+    """
+    return sum(
+        int((st.resources or {}).get("minted", 0))
+        for st in stages
+        if st.name == "generate"
+    )
+
+
 def render_trace_summary(path: str | Path) -> str:
     """Human-readable summary of a journal, for ``repro trace summary``."""
     s = summarize_trace(path)
@@ -490,6 +504,14 @@ def render_trace_summary(path: str | Path) -> str:
         f"{s.crashes} crashes",
         f"duration   : {s.duration_s:.3f}s",
     ]
+    generate = [st for st in trace_stages(path) if st.name == "generate"]
+    resolved = sum(st.parent_id == RUN_SPAN_ID for st in generate)
+    if resolved:
+        lines.insert(
+            4,
+            f"generate   : {resolved} workload set(s) resolved, "
+            f"{workload_mints(generate)} minted",
+        )
     failed = [sp for sp in trace_spans(path) if not sp.ok]
     if failed:
         lines.append("failed cells:")
@@ -520,6 +542,8 @@ def _stage_extras(st: StageSpan) -> str:
         parts.append(f"rss={res['max_rss_kb']}KB")
     if res.get("samples"):
         parts.append(f"samples={res['samples']}")
+    if res.get("minted"):
+        parts.append(f"minted={res['minted']}")
     return (" " + " ".join(parts)) if parts else ""
 
 

@@ -13,12 +13,19 @@ per-seed generation count.
 
 from __future__ import annotations
 
+import functools
+
 from ..core.registry import register_generator
 from ..benchmarks.exchange2 import SudokuInput, _canonical_solution, _transform_solution, solve
 from ..core.workload import Workload, WorkloadKind, WorkloadSet
 from .base import make_rng, workload
 
-__all__ = ["Exchange2WorkloadGenerator", "SPEC_SEEDS", "make_seed_collection"]
+__all__ = [
+    "Exchange2WorkloadGenerator",
+    "SPEC_SEEDS",
+    "make_seed_collection",
+    "spec_seeds",
+]
 
 
 def make_seed_collection(n_seeds: int = 27, base_seed: int = 27) -> tuple[str, ...]:
@@ -42,8 +49,21 @@ def make_seed_collection(n_seeds: int = 27, base_seed: int = 27) -> tuple[str, .
     return tuple(seeds)
 
 
-#: The stand-in for the benchmark's distributed 27-seed collection.
-SPEC_SEEDS: tuple[str, ...] = make_seed_collection()
+@functools.cache
+def spec_seeds() -> tuple[str, ...]:
+    """The stand-in for the benchmark's distributed 27-seed collection.
+
+    Built on first use rather than at import: building it solves every
+    seed, and a run whose workload sets all come from the workload-set
+    index never instantiates this generator.
+    """
+    return make_seed_collection()
+
+
+def __getattr__(name: str) -> tuple[str, ...]:
+    if name == "SPEC_SEEDS":
+        return spec_seeds()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @register_generator
@@ -52,8 +72,8 @@ class Exchange2WorkloadGenerator:
 
     benchmark = "548.exchange2_r"
 
-    def __init__(self, seeds: tuple[str, ...] = SPEC_SEEDS):
-        self.seeds = seeds
+    def __init__(self, seeds: tuple[str, ...] | None = None):
+        self.seeds = spec_seeds() if seeds is None else seeds
 
     def generate(
         self,

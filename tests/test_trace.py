@@ -257,9 +257,10 @@ class TestSpanTree:
         tids = {e["tid"] for e in cells}
         for stage in stages:
             # Cell stages render on their cell's lane; run-level stages
-            # (summarize) render on the run root's track 0.
+            # (workload-set generate, summarize) render on the run
+            # root's track 0.
             assert stage["tid"] in tids or (
-                stage["name"] == "summarize" and stage["tid"] == 0
+                stage["name"] in ("generate", "summarize") and stage["tid"] == 0
             )
         assert doc["displayTimeUnit"] == "ms"
 
