@@ -145,8 +145,8 @@ def test_replay_throughput():
 
     Writes ``BENCH_machine.json`` with per-benchmark cell seconds and
     events/sec.  Replay timings come from the ``engine.profile.*``
-    counters the cost model records around every ``_replay_stream``
-    call, so the JSON measures exactly what ``repro --verbose`` reports.
+    counters the cost model records around every ``evaluate`` call,
+    so the JSON measures exactly what ``repro --verbose`` reports.
 
     Set ``REPRO_BENCH_FULL=1`` to sweep every registered benchmark
     (the configuration the >=3x aggregate target is asserted on);
@@ -157,13 +157,13 @@ def test_replay_throughput():
     except ImportError:  # running with the repo root off sys.path
         import _legacy_machine as legacy
 
-    from repro.core.suite import alberta_workloads, get_benchmark, registry
+    from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
     from repro.machine import telemetry
     from repro.machine.cost import CostModel, MachineConfig as Config
     from repro.machine.telemetry import Probe
 
     full = bool(os.environ.get("REPRO_BENCH_FULL"))
-    ids = sorted(registry()) if full else list(_REPLAY_SMOKE_IDS)
+    ids = sorted(benchmark_ids()) if full else list(_REPLAY_SMOKE_IDS)
 
     cells = {}
     total_events = total_new_ns = total_legacy_ns = 0
@@ -260,7 +260,7 @@ def test_sweep_capture_reuse():
     which rewrites that file wholesale.
     """
     from repro.core.run import Session
-    from repro.core.suite import alberta_workloads
+    from repro.core.registry import alberta_workloads
     from repro.core.sweep import MachineGrid, SweepRequest
 
     bid = "502.gcc_r"
@@ -325,7 +325,7 @@ def test_sweep_capture_reuse():
 
 
 def test_sweep_batched_throughput():
-    """One-pass batched multi-config replay vs the per-config loop.
+    """One batched multi-config pass vs one replay per config.
 
     Replays one 502.gcc_r refrate capture over the standard 8-config
     grid (:func:`repro.core.sweep.default_sweep_grid`) both ways,
@@ -337,9 +337,9 @@ def test_sweep_batched_throughput():
     The >=3x acceptance target is asserted under ``REPRO_BENCH_FULL=1``;
     the CI smoke run gets a looser floor to absorb shared-runner noise.
     """
-    from repro.core.suite import alberta_workloads, get_benchmark
+    from repro.core.registry import alberta_workloads, get_benchmark
     from repro.core.sweep import default_sweep_grid
-    from repro.machine.batch import replay_capture_batched
+    from repro.machine.capture import replay_capture_batched
     from repro.machine.capture import capture_execution, replay_capture
 
     bid = "502.gcc_r"

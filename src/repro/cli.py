@@ -7,7 +7,7 @@ Commands mirror the deliverables:
 * ``suite``                        — fault-tolerant full-suite run with
   an optional ``--trace`` JSONL journal;
 * ``sweep BENCH --machines ...``   — machine-config sweep that captures
-  telemetry once and replays it per config;
+  telemetry once and replays every config in one pass;
 * ``trace summary|show|chrome PATH`` — inspect a run-trace journal, or
   export it as Chrome ``trace_event`` JSON (load in Perfetto);
 * ``metrics show|prom PATH``       — render a ``--metrics`` snapshot as
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep",
         help="characterize one benchmark across machine configs, "
-        "capturing telemetry once and replaying it per config",
+        "capturing telemetry once and replaying every config in one pass",
     )
     p.add_argument("benchmark")
     p.add_argument(
@@ -244,12 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON MachineGrid file ({\"configs\": [{\"name\": ..., "
         "<MachineConfig fields>}, ...]}); overrides --machines/--config",
     )
-    p.add_argument(
-        "--per-config",
-        action="store_true",
-        help="force per-config replay instead of the one-pass batched "
-        "kernel (results are bit-identical; for troubleshooting)",
-    )
     _add_engine_options(p)
     p.add_argument(
         "--trace",
@@ -257,22 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write a JSONL run-trace journal (see `repro trace`)",
-    )
-    p.add_argument(
-        "--sample-intervals",
-        type=int,
-        default=None,
-        metavar="N",
-        help="enable phase-sampled replay: slice each capture into N "
-        "fixed-size intervals and replay only phase representatives",
-    )
-    p.add_argument(
-        "--sample-phases",
-        type=int,
-        default=None,
-        metavar="K",
-        help="phase (cluster) count for --sample-intervals "
-        "(default: the SamplingPlan default)",
     )
     p.add_argument(
         "--ledger",
@@ -340,14 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=3,
         metavar="N",
         help="replay rounds per benchmark, best-of (default: 3)",
-    )
-    p.add_argument(
-        "--sampling-baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="also check sampled-replay accuracy/ratio against a "
-        "BENCH_sampling.json baseline (warn-only, never fails the run)",
     )
     p.add_argument(
         "--sweep-baseline",
@@ -697,30 +667,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             except (ValueError, KeyError) as exc:
                 print(f"sweep: {exc}", file=sys.stderr)
                 return 2
-        sampling = None
-        if args.sample_intervals is not None:
-            from .machine.sampling import SamplingPlan
-
-            plan_kwargs = {"intervals": args.sample_intervals}
-            if args.sample_phases is not None:
-                plan_kwargs["phases"] = args.sample_phases
-            sampling = SamplingPlan(**plan_kwargs)
-        elif args.sample_phases is not None:
-            print(
-                "sweep: --sample-phases requires --sample-intervals",
-                file=sys.stderr,
-            )
-            return 2
         session = Session(
             workers=kwargs["workers"], cache=kwargs["cache"], trace=args.trace,
             ledger=args.ledger,
         )
-        request = SweepRequest(
-            benchmark=args.benchmark,
-            grid=grid,
-            sampling=sampling,
-            batched=False if args.per_config else None,
-        )
+        request = SweepRequest(benchmark=args.benchmark, grid=grid)
         try:
             with session:
                 result = session.characterize_sweep(request)
@@ -745,7 +696,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 f"stages: {summary.captures} captures "
                 f"({summary.capture_hits} reused), {summary.replays} replays "
                 f"({summary.replay_hits} cached, "
-                f"{summary.replays_sampled} sampled, "
                 f"{summary.replays_batched} batched) for {summary.cells} cells "
                 f"in {summary.duration_s:.2f}s",
                 file=sys.stderr,
@@ -860,7 +810,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 args.benchmarks or None,
                 tolerance=args.tolerance,
                 rounds=args.rounds,
-                sampling_baseline=args.sampling_baseline,
                 sweep_baseline=args.sweep_baseline,
                 ledger=args.ledger_baseline,
                 ledger_window=args.ledger_window,
@@ -1090,17 +1039,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             return 1 if n_stale else 0
         else:
             profiles, captures = store.profiles, store.captures
-            modes = profiles.replay_modes()
             print(f"cache dir : {store.root}")
             print("stage: replay (machine-dependent profiles)")
             print(f"  entries : {len(profiles)}")
             print(f"  bytes   : {profiles.total_bytes()}")
             print(f"  corrupt : {profiles.quarantined_entries()} (quarantined *.corrupt)")
-            print(
-                f"  source  : {modes['batched']} batched, "
-                f"{modes['per-config']} per-config, "
-                f"{modes['unlabeled']} unlabeled replays"
-            )
             print("stage: capture (machine-independent telemetry)")
             print(f"  entries : {len(captures)}")
             print(f"  bytes   : {captures.total_bytes()}")

@@ -219,7 +219,6 @@ def cache_key(
     machine: MachineConfig | None = None,
     *,
     build: str | None = None,
-    sampling: str | None = None,
 ) -> str:
     """Stable key for one (benchmark, workload, machine, version) cell.
 
@@ -228,12 +227,6 @@ def cache_key(
     changes the replay but not the capture.  ``None`` (the baseline
     build) hashes exactly as before, so caches populated prior to this
     field stay warm.
-
-    ``sampling`` is the optional :meth:`repro.machine.sampling.
-    SamplingPlan.cache_token` of a phase-sampled replay.  ``None`` (and
-    an ``exact=True`` plan, whose token *is* ``None``) hashes exactly
-    as before, so sampled estimates and exact results can never share
-    a key.
 
     Registry descriptor versions join the key the same way: only
     non-``None`` :meth:`~repro.core.registry.Descriptor.cache_token`
@@ -254,8 +247,6 @@ def cache_key(
         ident["descriptors"] = tokens
     if build is not None:
         ident["build"] = build
-    if sampling is not None:
-        ident["sampling"] = sampling
     h = hashlib.sha256()
     _update(h, ident)
     return h.hexdigest()
@@ -297,20 +288,14 @@ def profile_to_dict(profile: ExecutionProfile) -> dict[str, Any]:
     The output object is intentionally dropped: summaries only read the
     machine report, and outputs can be arbitrarily large.  A profile
     restored from the cache therefore has ``output=None``.
-
-    A :class:`~repro.machine.sampling.SampledProfile` additionally
-    carries a ``"sampling"`` section so cache hits round-trip the
-    sampling provenance (plan, event ratio, error estimates).
     """
     report = profile.report
     td = report.topdown
-    sampling = getattr(profile, "sampling", None)
     return {
         "format": CACHE_FORMAT,
         "benchmark": profile.benchmark,
         "workload": profile.workload,
         "verified": profile.verified,
-        **({"sampling": sampling.to_dict()} if sampling is not None else {}),
         "report": {
             "topdown": [td.front_end, td.back_end, td.bad_speculation, td.retiring],
             "coverage": dict(report.coverage.fractions),
@@ -329,7 +314,9 @@ def profile_from_dict(data: Mapping[str, Any]) -> ExecutionProfile:
     """Reconstruct an :class:`ExecutionProfile` from :func:`profile_to_dict`.
 
     Raises :class:`~repro.core.errors.CacheCorruption` (a ``ValueError``
-    subclass, for compatibility) on an unrecognized layout.
+    subclass, for compatibility) on an unrecognized layout.  Envelope
+    keys earlier versions wrote (``replay_mode`` provenance, a sampled
+    replay's ``sampling`` section) are ignored.
     """
     if data.get("format") != CACHE_FORMAT:
         raise CacheCorruption(f"unsupported cache entry format {data.get('format')!r}")
@@ -346,21 +333,6 @@ def profile_from_dict(data: Mapping[str, Any]) -> ExecutionProfile:
         sampling_stride=rep["sampling_stride"],
         counters=dict(rep["counters"]),
     )
-    if "sampling" in data:
-        from ..machine.sampling import SampledProfile, SamplingInfo
-
-        try:
-            info = SamplingInfo.from_dict(data["sampling"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheCorruption(f"bad sampling section ({exc})") from exc
-        return SampledProfile(
-            benchmark=data["benchmark"],
-            workload=data["workload"],
-            report=report,
-            output=None,
-            verified=data["verified"],
-            sampling=info,
-        )
     return ExecutionProfile(
         benchmark=data["benchmark"],
         workload=data["workload"],
@@ -548,38 +520,7 @@ class ResultCache(EntryStore):
         """Look up a profile; a miss (or unreadable entry) returns None."""
         return self._load(key, lambda raw: profile_from_dict(json.loads(raw)))
 
-    def put(
-        self,
-        key: str,
-        profile: ExecutionProfile,
-        *,
-        replay_mode: str | None = None,
-    ) -> None:
-        """Store a profile under ``key`` (atomic replace).
-
-        ``replay_mode`` records provenance in the envelope — whether the
-        profile came from a ``"batched"`` multi-config replay or a
-        ``"per-config"`` one.  The two are bit-identical, so the key is
-        purely informational (``repro cache info`` reports the counts)
-        and readers ignore it.
-        """
+    def put(self, key: str, profile: ExecutionProfile) -> None:
+        """Store a profile under ``key`` (atomic replace)."""
         payload = profile_to_dict(profile)
-        if replay_mode is not None:
-            payload["replay_mode"] = replay_mode
         self._store(key, json.dumps(payload, separators=(",", ":")).encode())
-
-    def replay_modes(self) -> dict[str, int]:
-        """Provenance counts over stored entries: how many profiles were
-        written by a ``"batched"`` multi-config replay, a ``"per-config"``
-        replay, or predate the envelope key (``"unlabeled"``)."""
-        counts = {"batched": 0, "per-config": 0, "unlabeled": 0}
-        for path in self._entries():
-            try:
-                mode = json.loads(path.read_bytes()).get("replay_mode")
-            except (OSError, ValueError):
-                continue
-            if mode in ("batched", "per-config"):
-                counts[mode] += 1
-            else:
-                counts["unlabeled"] += 1
-        return counts

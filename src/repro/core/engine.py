@@ -76,8 +76,12 @@ from itertools import zip_longest
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from ..machine.batch import replay_capture_batched
-from ..machine.capture import TelemetryCapture, capture_execution, replay_capture
+from ..machine.capture import (
+    TelemetryCapture,
+    capture_execution,
+    replay_capture,
+    replay_capture_batched,
+)
 from ..machine.cost import MachineConfig
 from ..machine.profiler import ExecutionProfile
 from . import metrics
@@ -104,7 +108,6 @@ from .trace import CellSpan, StageSpan, TraceWriter
 from .workload import Workload, WorkloadSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..machine.sampling import SamplingPlan
     from .characterize import BenchmarkCharacterization
 
 __all__ = [
@@ -194,9 +197,7 @@ class CellOutcome:
     #: optionally extended with a fourth resource-attribution dict (see
     #: :mod:`repro.core.resources`).
     stages: tuple = ()
-    #: ``replay="run"`` took the phase-sampled path rather than exact.
-    sampled: bool = False
-    #: ``replay="run"`` was served by a one-pass multi-config kernel.
+    #: ``replay="run"`` was served by a one-pass multi-config sweep replay.
     batched: bool = False
 
     @property
@@ -220,7 +221,6 @@ class CellOutcome:
             span_id=span_id,
             parent_id=parent_id,
             start_s=start_s,
-            sampled=self.sampled,
             batched=self.batched,
         )
 
@@ -436,6 +436,28 @@ def _maybe_inject_fault(cell: _Cell, attempt: int) -> None:
             time.sleep(arg if arg is not None else 60.0)
 
 
+def _replay_lap(
+    tracker: StageResourceTracker,
+    reg: metrics.MetricsRegistry,
+    benchmark_id: str,
+    share: int = 1,
+) -> dict[str, Any]:
+    """A replay stage's resources: the rusage lap plus kernel events/ns.
+
+    ``share`` splits one batched replay's resources evenly across the
+    ``share`` cells it served, so per-stage sums stay run totals.
+    """
+    res = tracker.lap()
+    res["cpu_user_s"] /= share
+    res["cpu_sys_s"] /= share
+    for key, family in (
+        ("replay_events", metrics.REPLAY_EVENTS_TOTAL),
+        ("replay_ns", metrics.REPLAY_NS_TOTAL),
+    ):
+        res[key] = int(reg.value(family, benchmark=benchmark_id) or 0) // share
+    return res
+
+
 def _run_cell(
     cell: _Cell, attempt: int = 1, mode: str = "replay"
 ) -> tuple[ExecutionProfile | None, TelemetryCapture | None, dict[str, Any]]:
@@ -491,15 +513,7 @@ def _run_cell(
             else:
                 profile = replay_capture(capture, machine=cell.machine)
                 t3 = time.perf_counter()
-                res = tracker.lap()
-                res["replay_events"] = int(
-                    reg.value(metrics.REPLAY_EVENTS_TOTAL, benchmark=cell.benchmark_id)
-                    or 0
-                )
-                res["replay_ns"] = int(
-                    reg.value(metrics.REPLAY_NS_TOTAL, benchmark=cell.benchmark_id)
-                    or 0
-                )
+                res = _replay_lap(tracker, reg, cell.benchmark_id)
                 stages.append(["replay", t2 - t0, t3 - t2, res])
     finally:
         if sampler is not None:
@@ -695,14 +709,7 @@ class CharacterizationEngine:
                 )
                 continue
             duration = time.perf_counter() - started
-            res = tracker.lap()
-            res["replay_events"] = int(
-                reg.value(metrics.REPLAY_EVENTS_TOTAL, benchmark=cell.benchmark_id)
-                or 0
-            )
-            res["replay_ns"] = int(
-                reg.value(metrics.REPLAY_NS_TOTAL, benchmark=cell.benchmark_id) or 0
-            )
+            res = _replay_lap(tracker, reg, cell.benchmark_id)
             outcomes[i] = CellOutcome(
                 cell, profile, cache_state, 0, duration, "ok",
                 capture="hit", replay="run",
@@ -1167,7 +1174,6 @@ class CharacterizationEngine:
         workload: Workload | None = None,
         build: Any = None,
         machine: Any = _ENGINE_MACHINE,
-        sampling: "SamplingPlan | None" = None,
     ) -> CellOutcome:
         """Replay one captured stream under a machine config and build.
 
@@ -1176,14 +1182,9 @@ class CharacterizationEngine:
         ``build`` is any object exposing ``name``, ``digest()`` and
         ``cost_model(machine)`` — see
         :class:`repro.fdo.optimizer.FdoBuild` — and changes the replay
-        without touching the capture.  ``sampling`` selects
-        phase-sampled replay (:mod:`repro.machine.sampling`); the
-        plan's :meth:`~repro.machine.sampling.SamplingPlan.cache_token`
-        joins the cache key, so sampled and exact profiles never
-        collide (an ``exact=True`` plan tokenizes to ``None`` and
-        shares the exact entry).  When the originating ``workload`` is
-        provided and a store is attached, the finished profile is
-        cached under the machine+build(+sampling) key (the full
+        without touching the capture.  When the originating
+        ``workload`` is provided and a store is attached, the finished
+        profile is cached under the machine+build key (the full
         workload content cannot be reconstructed from a capture, so
         profile-level caching requires it).  Under ``strict=True`` a
         failed replay raises its :class:`CellFailure` after the span
@@ -1194,15 +1195,10 @@ class CharacterizationEngine:
         build_digest = build.digest() if build is not None else None
         if build_name is not None and build_digest is not None:
             self.builds_used[str(build_name)] = str(build_digest)
-        token = sampling.cache_token() if sampling is not None else None
         cell = _Cell(capture.benchmark, capture.workload, 0, m)
         key = None
         if self.store is not None and workload is not None:
-            key = cache_key(
-                capture.benchmark, workload, m,
-                build=build_digest,
-                sampling=token,
-            )
+            key = cache_key(capture.benchmark, workload, m, build=build_digest)
             cached = self.cache.get(key)
             if cached is not None:
                 oc = CellOutcome(
@@ -1213,7 +1209,6 @@ class CharacterizationEngine:
                 self._emit_spans([oc])
                 return oc
         cache_state = "off" if self.store is None else ("miss" if key else "-")
-        stage_name = "sample" if token is not None else "replay"
         tracker = StageResourceTracker()
         reg = metrics.MetricsRegistry()
         started = time.perf_counter()
@@ -1223,7 +1218,6 @@ class CharacterizationEngine:
                     capture,
                     machine=m,
                     cost_model=build.cost_model(m) if build is not None else None,
-                    sampling=sampling,
                 )
         except Exception as exc:
             oc = CellOutcome(
@@ -1232,27 +1226,18 @@ class CharacterizationEngine:
                 f"{type(exc).__name__}: {exc}",
                 replay="run", build=build_name,
                 start_s=self.trace.rel(started),
-                sampled=token is not None,
             )
         else:
             duration = time.perf_counter() - started
-            res = tracker.lap()
-            res["replay_events"] = int(
-                reg.value(metrics.REPLAY_EVENTS_TOTAL, benchmark=capture.benchmark)
-                or 0
-            )
-            res["replay_ns"] = int(
-                reg.value(metrics.REPLAY_NS_TOTAL, benchmark=capture.benchmark) or 0
-            )
+            res = _replay_lap(tracker, reg, capture.benchmark)
             oc = CellOutcome(
                 cell, profile, cache_state, 1, duration, "ok",
                 replay="run", build=build_name,
                 start_s=self.trace.rel(started),
-                stages=((stage_name, 0.0, duration, res),),
-                sampled=token is not None,
+                stages=(("replay", 0.0, duration, res),),
             )
             if key is not None:
-                self.cache.put(key, profile, replay_mode="per-config")
+                self.cache.put(key, profile)
         self._emit_spans([oc])
         if not oc.ok and self.strict:
             raise oc.failure()
@@ -1266,8 +1251,6 @@ class CharacterizationEngine:
         *,
         base_seed: int = 0,
         keep_profiles: bool = False,
-        sampling: "SamplingPlan | None" = None,
-        batched: bool | None = None,
     ) -> "tuple[list[BenchmarkCharacterization | None], list[CellOutcome]]":
         """Characterize one benchmark under N machine configs, capturing once.
 
@@ -1279,21 +1262,13 @@ class CharacterizationEngine:
         ``capture="hit"``, so ``summary.captures`` equals the number
         of real benchmark executions.
 
-        Exact (unsampled) replays additionally share *one pass* over the
-        capture columns: all pending configs for a workload go through
-        :func:`~repro.machine.batch.replay_capture_batched`, which
+        Replays also share *one pass* over the capture columns: all
+        pending configs for a workload go through
+        :func:`~repro.machine.capture.replay_capture_batched`, which
         carries the config set as an extra kernel dimension and is
-        bit-identical to per-config replay.  ``batched=False`` forces
-        the per-config loop; ``batched=None``/``True`` batch whenever
-        possible (two or more pending configs, no sampling plan).
-        Batched spans carry ``batched=True`` and cached profiles record
-        ``replay_mode="batched"`` provenance.
-
-        ``sampling`` applies phase-sampled replay
-        (:mod:`repro.machine.sampling`) to every cell: spans carry
-        ``sampled=True``, the stage span is named ``sample``, and the
-        plan's cache token joins each cell's profile key so sampled
-        sweeps never collide with exact ones.
+        bit-identical to replaying each config alone.  Their spans
+        carry ``batched=True``; the group's replay time and resources
+        are split evenly across its cells.
 
         Returns one characterization per machine config, in ``machines``
         order (``None`` where no cell survived), plus the flat outcome
@@ -1317,8 +1292,6 @@ class CharacterizationEngine:
             raise WorkloadError(f"characterize_sweep: empty workload set for {benchmark_id}")
         quarantined_before = self._quarantined_total()
         cache_state = "off" if self.store is None else "miss"
-        token = sampling.cache_token() if sampling is not None else None
-        stage_name = "sample" if token is not None else "replay"
 
         grid: list[list[CellOutcome | None]] = [[None] * len(wl) for _ in machines]
         keys: list[list[str | None]] = [[None] * len(wl) for _ in machines]
@@ -1334,7 +1307,7 @@ class CharacterizationEngine:
                 )
                 if self.store is not None:
                     looked_up = self.trace.now()
-                    keys[mi][wi] = cache_key(benchmark_id, w, m, sampling=token)
+                    keys[mi][wi] = cache_key(benchmark_id, w, m)
                     cached = self.cache.get(keys[mi][wi])
                     if cached is not None:
                         grid[mi][wi] = CellOutcome(
@@ -1359,8 +1332,8 @@ class CharacterizationEngine:
         cap_by_w = dict(zip(need_w, batch))
 
         # Group pending cells by workload: within one workload every
-        # config replays the same capture, so exact replays can share a
-        # single batched pass.  Member order is machine-major (``need``
+        # config replays the same capture, so they share a single
+        # batched pass.  Member order is machine-major (``need``
         # order), so the first member of each group is the cell the
         # capture cost is charged to — same charging as the old
         # per-cell loop.
@@ -1392,110 +1365,48 @@ class CharacterizationEngine:
                     )
                 continue
 
-            use_batched = (
-                sampling is None and len(members) > 1 and batched is not False
-            )
-            if use_batched:
-                started = time.perf_counter()
-                try:
+            tracker = StageResourceTracker()
+            reg = metrics.MetricsRegistry()
+            started = time.perf_counter()
+            try:
+                with metrics.collector(reg):
                     profiles = replay_capture_batched(
                         capture, [cell.machine for _, cell in members]
                     )
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    batch_dur = time.perf_counter() - started
-                    for j, (mi, cell) in enumerate(members):
-                        fresh, cap_attempts, cap_duration, cap_stages = _charge(j)
-                        cell_start = (
-                            run_oc.start_s
-                            if fresh and run_oc is not None and run_oc.start_s >= 0
-                            else self.trace.rel(started)
-                        )
-                        grid[mi][wi] = CellOutcome(
-                            cell, None, cache_state, max(1, cap_attempts),
-                            cap_duration + batch_dur, "failed", error,
-                            capture="run" if fresh else "hit", replay="run",
-                            start_s=cell_start, stages=cap_stages,
-                            batched=True,
-                        )
-                    continue
-                batch_dur = time.perf_counter() - started
-                per_dur = batch_dur / len(members)
-                for j, (mi, cell) in enumerate(members):
-                    fresh, cap_attempts, cap_duration, cap_stages = _charge(j)
-                    cell_start = (
-                        run_oc.start_s
-                        if fresh and run_oc is not None and run_oc.start_s >= 0
-                        else self.trace.rel(started)
-                    )
-                    grid[mi][wi] = CellOutcome(
-                        cell, profiles[j], cache_state, cap_attempts,
-                        cap_duration + per_dur, "ok",
-                        capture="run" if fresh else "hit", replay="run",
-                        start_s=cell_start,
-                        stages=cap_stages
-                        + ((stage_name, self.trace.rel(started) - cell_start, per_dur),),
-                        batched=True,
-                    )
-                    if keys[mi][wi] is not None:
-                        self.cache.put(
-                            keys[mi][wi], profiles[j], replay_mode="batched"
-                        )
-                continue
-
+            except Exception as exc:
+                profiles, error = None, f"{type(exc).__name__}: {exc}"
+            per_dur = (time.perf_counter() - started) / len(members)
+            if profiles is not None:
+                res = _replay_lap(tracker, reg, benchmark_id, len(members))
             for j, (mi, cell) in enumerate(members):
                 fresh, cap_attempts, cap_duration, cap_stages = _charge(j)
-                tracker = StageResourceTracker()
-                reg = metrics.MetricsRegistry()
-                started = time.perf_counter()
-                if fresh and run_oc is not None and run_oc.start_s >= 0:
-                    cell_start = run_oc.start_s
-                else:
-                    cell_start = self.trace.rel(started)
-                try:
-                    with metrics.collector(reg):
-                        profile = replay_capture(
-                            capture, machine=cell.machine, sampling=sampling
-                        )
-                except Exception as exc:
+                cell_start = (
+                    run_oc.start_s
+                    if fresh and run_oc is not None and run_oc.start_s >= 0
+                    else self.trace.rel(started)
+                )
+                if profiles is None:
                     grid[mi][wi] = CellOutcome(
                         cell, None, cache_state, max(1, cap_attempts),
-                        cap_duration + (time.perf_counter() - started), "failed",
-                        f"{type(exc).__name__}: {exc}",
+                        cap_duration + per_dur * len(members), "failed", error,
                         capture="run" if fresh else "hit", replay="run",
                         start_s=cell_start, stages=cap_stages,
-                        sampled=token is not None,
+                        batched=True,
                     )
                     continue
-                replay_dur = time.perf_counter() - started
-                res = tracker.lap()
-                res["replay_events"] = int(
-                    reg.value(metrics.REPLAY_EVENTS_TOTAL, benchmark=benchmark_id)
-                    or 0
-                )
-                res["replay_ns"] = int(
-                    reg.value(metrics.REPLAY_NS_TOTAL, benchmark=benchmark_id) or 0
+                replay_stage = (
+                    "replay", self.trace.rel(started) - cell_start, per_dur, dict(res)
                 )
                 grid[mi][wi] = CellOutcome(
-                    cell, profile, cache_state, cap_attempts,
-                    cap_duration + replay_dur, "ok",
+                    cell, profiles[j], cache_state, cap_attempts,
+                    cap_duration + per_dur, "ok",
                     capture="run" if fresh else "hit", replay="run",
                     start_s=cell_start,
-                    stages=cap_stages
-                    + (
-                        (
-                            stage_name,
-                            self.trace.rel(started) - cell_start,
-                            replay_dur,
-                            res,
-                        ),
-                    ),
-                    sampled=token is not None,
+                    stages=cap_stages + (replay_stage,),
+                    batched=True,
                 )
                 if keys[mi][wi] is not None:
-                    self.cache.put(
-                        keys[mi][wi], profile, replay_mode="per-config"
-                    )
+                    self.cache.put(keys[mi][wi], profiles[j])
 
         self.trace.quarantine(self._quarantined_total() - quarantined_before)
         flat: list[CellOutcome] = []

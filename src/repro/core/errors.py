@@ -158,7 +158,7 @@ class UnknownScenarioError(ReproError, KeyError):
     not resolve in the registry.
 
     Also subclasses ``KeyError`` because the pre-registry lookups
-    (``core.suite.get_benchmark``, ``machine.machine.preset``,
+    (``registry.get_benchmark``, ``machine.machine.preset``,
     ``WorkloadSet[name]``) raised bare ``KeyError``; existing
     ``except KeyError`` call sites keep working.
 

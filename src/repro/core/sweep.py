@@ -1,7 +1,7 @@
 """Declarative sweep requests: :class:`MachineGrid` and :class:`SweepRequest`.
 
 ``Session.characterize_sweep`` grew by keyword accretion — a benchmark
-id, a bare list of machine configs, then ``base_seed``, ``sampling``,
+id, a bare list of machine configs, then ``base_seed`` and
 ``keep_profiles`` — with the config *names* living only in whatever
 parallel list the caller kept.  These dataclasses make the request a
 value:
@@ -12,22 +12,19 @@ value:
   (``to_dict``/``from_dict`` — the CLI's ``--grid FILE`` is exactly
   this JSON), and identified by a stable :meth:`MachineGrid.cache_token`.
 * :class:`SweepRequest` — the whole sweep as one validated value:
-  benchmark, grid, seed, sampling plan, and the ``batched`` override
-  for the one-pass multi-config replay
-  (:func:`~repro.machine.batch.replay_capture_batched`).
+  benchmark, grid and seed.  The engine replays each workload's
+  pending configs in one pass
+  (:func:`~repro.machine.capture.replay_capture_batched`).
 * :class:`ReplayRequest` — the single-replay counterpart for
-  ``Session.replay`` (machine/build/sampling/workload).  Not
-  serializable: ``build`` and ``workload`` are live objects.
+  ``Session.replay`` (machine/build/workload).  Not serializable:
+  ``build`` and ``workload`` are live objects.
 
 Cache identity: each swept *cell* is keyed by its full machine config
 (:func:`~repro.core.cache.cache_key` hashes ``asdict(machine)``,
 geometry included), so grids that contain the same config share cache
 entries — batching never fragments the cache.  The request-level
-:meth:`SweepRequest.cache_token` composes the grid token with the
-sampling plan's :meth:`~repro.machine.sampling.SamplingPlan.cache_token`
-(the part that *does* join every cell key); use it to name artifacts of
-a whole sweep.  ``batched`` is deliberately excluded — batched and
-per-config replay are bit-identical, so they share one identity.
+:meth:`SweepRequest.cache_token` composes the benchmark, seed and grid
+token; use it to name artifacts of a whole sweep.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from .cache import payload_digest
 from .registry import machine_preset, machine_preset_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..machine.sampling import SamplingPlan
     from .workload import Workload
 
 __all__ = ["MachineGrid", "SweepRequest", "ReplayRequest", "default_sweep_grid"]
@@ -49,6 +45,11 @@ __all__ = ["MachineGrid", "SweepRequest", "ReplayRequest", "default_sweep_grid"]
 #: ``ReplayRequest.machine`` default: "use the session engine's config"
 #: (distinct from an explicit ``None``, which means the default config).
 ENGINE_MACHINE: Any = object()
+
+#: Request fields earlier versions serialized (phase-sampled replay and
+#: the per-config replay override).  ``null`` values are ignored; a set
+#: value cannot be honoured, and running it exact would mislabel results.
+_RETIRED_FIELDS = ("sampling", "batched")
 
 
 def _config_from_dict(data: Mapping[str, Any]) -> MachineConfig:
@@ -166,22 +167,12 @@ class MachineGrid:
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """One machine-config sweep as a validated, serializable value.
-
-    ``batched=None`` (the default) lets the engine choose: workloads
-    with two or more pending exact replays take the one-pass batched
-    kernel, everything else replays per config.  ``False`` forces the
-    per-config path; ``True`` documents intent but still falls back
-    where batching is impossible (sampled replay, a single config) —
-    results are bit-identical either way.
-    """
+    """One machine-config sweep as a validated, serializable value."""
 
     benchmark: str
     grid: MachineGrid
     base_seed: int = 0
     keep_profiles: bool = False
-    sampling: "SamplingPlan | None" = None
-    batched: bool | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.benchmark, str) or not self.benchmark:
@@ -193,10 +184,6 @@ class SweepRequest:
             )
         if not isinstance(self.base_seed, int) or isinstance(self.base_seed, bool):
             raise ValueError("SweepRequest: base_seed must be an int")
-        if self.batched not in (None, True, False):
-            raise ValueError("SweepRequest: batched must be True, False, or None")
-        if self.sampling is not None and not hasattr(self.sampling, "cache_token"):
-            raise ValueError("SweepRequest: sampling must be a SamplingPlan or None")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -204,37 +191,26 @@ class SweepRequest:
             "grid": self.grid.to_dict(),
             "base_seed": self.base_seed,
             "keep_profiles": self.keep_profiles,
-            "sampling": self.sampling.to_dict() if self.sampling is not None else None,
-            "batched": self.batched,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepRequest":
-        sampling = data.get("sampling")
-        if sampling is not None:
-            from ..machine.sampling import SamplingPlan
-
-            sampling = SamplingPlan.from_dict(sampling)
+        for name in _RETIRED_FIELDS:
+            if data.get(name) is not None:
+                raise ValueError(
+                    f"SweepRequest.from_dict: {name!r} is no longer supported "
+                    f"(got {data[name]!r}); every replay is exact and batched"
+                )
         return cls(
             benchmark=data["benchmark"],
             grid=MachineGrid.from_dict(data["grid"]),
             base_seed=int(data.get("base_seed", 0)),
             keep_profiles=bool(data.get("keep_profiles", False)),
-            sampling=sampling,
-            batched=data.get("batched"),
         )
 
     def cache_token(self) -> str:
-        """Stable request identity: benchmark + grid + seed + sampling.
-
-        ``batched`` is excluded on purpose — batched and per-config
-        replay produce bit-identical profiles, so the two execution
-        strategies share one cache identity (the per-cell keys they
-        actually read and write are likewise strategy-blind).
-        """
-        token = f"sweep.{self.benchmark}.s{self.base_seed}.{self.grid.cache_token()}"
-        sampling = self.sampling.cache_token() if self.sampling is not None else None
-        return token if sampling is None else f"{token}.{sampling}"
+        """Stable request identity: benchmark + seed + grid."""
+        return f"sweep.{self.benchmark}.s{self.base_seed}.{self.grid.cache_token()}"
 
 
 @dataclass(frozen=True)
@@ -249,7 +225,6 @@ class ReplayRequest:
     machine: Any = ENGINE_MACHINE
     workload: "Workload | None" = None
     build: Any = None
-    sampling: "SamplingPlan | None" = None
 
     def __post_init__(self) -> None:
         if (
@@ -260,8 +235,6 @@ class ReplayRequest:
             raise ValueError(
                 "ReplayRequest: machine must be a MachineConfig, None, or omitted"
             )
-        if self.sampling is not None and not hasattr(self.sampling, "cache_token"):
-            raise ValueError("ReplayRequest: sampling must be a SamplingPlan or None")
 
 
 def default_sweep_grid() -> MachineGrid:
@@ -271,7 +244,7 @@ def default_sweep_grid() -> MachineGrid:
     sizes, three history depths) crossed with memory-sizing points
     (L1D capacity, LLC capacity up and down, dTLB reach) — the shape
     of sweep the characterization studies actually run.  The sizing
-    points vary distinct levels of the hierarchy, so the batched path
+    points vary distinct levels of the hierarchy, so the replay kernel
     exercises per-level memo reuse as well as predictor-signature and
     whole-geometry grouping; line-size variation (which shares
     nothing) is covered by the sweep test grids instead.

@@ -11,29 +11,20 @@ classical predictors are provided:
   history, the default for the i7-like machine configuration.
 
 Both keep their 2-bit counters in a flat ``bytearray`` table (one byte
-per counter, initialized weakly-not-taken), so a prediction is a byte
-index instead of a dict probe, and both expose a :meth:`replay` batch
-API that walks an entire outcome stream at once.  Short streams run a
-tight scalar loop; long streams dispatch to the segmented prefix scan
-in :mod:`repro.machine.kernel` (saturating-counter updates are clamp
-functions, which compose associatively).  Predictions are identical to
-the historical dict-backed tables: a missing dict entry defaulted to
-counter state 1, which is exactly the ``bytearray`` initial fill.
+per counter, initialized weakly-not-taken) and predict one branch per
+:meth:`predict_and_update` call.  They are the per-event reference
+for the replay kernel, which runs the same counters over a whole
+outcome stream as a segmented prefix scan
+(:func:`~repro.machine.kernel.counter_scan_batched`; saturating-counter
+updates are clamp functions, which compose associatively).
+Predictions are identical to the historical dict-backed tables: a
+missing dict entry defaulted to counter state 1, which is exactly the
+``bytearray`` initial fill.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-import numpy as np
-
-from .kernel import counter_scan, gshare_history
-
 __all__ = ["BimodalPredictor", "GsharePredictor", "PredictorStats"]
-
-# Streams shorter than this replay faster in the scalar loop than in
-# the vectorized scan (fixed NumPy call overhead dominates).
-_VECTOR_MIN_EVENTS = 512
 
 
 class PredictorStats:
@@ -84,42 +75,6 @@ class BimodalPredictor:
                 table[idx] = counter - 1
         return correct
 
-    def replay(self, pcs: Sequence[int], takens: Sequence[int]):
-        """Replay a whole outcome stream; returns per-event mispredict
-        flags (1 = mispredicted, buffer-compatible) and updates
-        :attr:`stats`."""
-        n = len(pcs)
-        if n >= _VECTOR_MIN_EVENTS:
-            pc_col = np.asarray(pcs, dtype=np.int64)
-            tak_col = (np.asarray(takens, dtype=np.int64) != 0).astype(np.int64)
-            table = np.frombuffer(self._table, dtype=np.uint8)
-            miss = counter_scan(pc_col & self._mask, tak_col, table)
-            self.stats.branches += n
-            self.stats.mispredicts += int(miss.sum())
-            return miss
-        if isinstance(pcs, np.ndarray):
-            pcs = pcs.tolist()
-        if isinstance(takens, np.ndarray):
-            takens = takens.tolist()
-        table = self._table
-        mask = self._mask
-        miss = bytearray(n)
-        n_miss = 0
-        i = 0
-        for pc, taken in zip(pcs, takens):
-            counter = table[pc & mask]
-            if (counter >= 2) != bool(taken):
-                miss[i] = 1
-                n_miss += 1
-            if taken:
-                if counter < 3:
-                    table[pc & mask] = counter + 1
-            elif counter > 0:
-                table[pc & mask] = counter - 1
-            i += 1
-        self.stats.branches += n
-        self.stats.mispredicts += n_miss
-        return miss
 
 
 class GsharePredictor:
@@ -159,55 +114,3 @@ class GsharePredictor:
         )
         return correct
 
-    def replay(self, pcs: Sequence[int], takens: Sequence[int]):
-        """Replay a whole outcome stream; returns per-event mispredict
-        flags (1 = mispredicted, buffer-compatible) and updates
-        :attr:`stats`."""
-        n = len(pcs)
-        if n >= _VECTOR_MIN_EVENTS:
-            pc_col = np.asarray(pcs, dtype=np.int64)
-            tak_col = (np.asarray(takens, dtype=np.int64) != 0).astype(np.int64)
-            hist = gshare_history(tak_col, self._history, self.history_bits)
-            table = np.frombuffer(self._table, dtype=np.uint8)
-            miss = counter_scan((pc_col ^ hist) & self._mask, tak_col, table)
-            hmask = (1 << self.history_bits) - 1
-            history = self._history
-            for bit in tak_col[-self.history_bits :].tolist() if self.history_bits else ():
-                history = ((history << 1) | bit) & hmask
-            self._history = history
-            self.stats.branches += n
-            self.stats.mispredicts += int(miss.sum())
-            return miss
-        if isinstance(pcs, np.ndarray):
-            pcs = pcs.tolist()
-        if isinstance(takens, np.ndarray):
-            takens = takens.tolist()
-        table = self._table
-        mask = self._mask
-        hist_mask = (1 << self.history_bits) - 1
-        history = self._history
-        miss = bytearray(len(pcs))
-        n_miss = 0
-        i = 0
-        for pc, taken in zip(pcs, takens):
-            idx = (pc ^ history) & mask
-            counter = table[idx]
-            if taken:
-                if counter < 2:
-                    miss[i] = 1
-                    n_miss += 1
-                if counter < 3:
-                    table[idx] = counter + 1
-                history = ((history << 1) | 1) & hist_mask
-            else:
-                if counter >= 2:
-                    miss[i] = 1
-                    n_miss += 1
-                if counter > 0:
-                    table[idx] = counter - 1
-                history = (history << 1) & hist_mask
-            i += 1
-        self._history = history
-        self.stats.branches += len(pcs)
-        self.stats.mispredicts += n_miss
-        return miss

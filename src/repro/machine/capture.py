@@ -20,7 +20,10 @@ two stages apart:
 
 A machine-config or FDO-build sweep therefore executes each benchmark
 once and replays the captured stream N times — the separation
-SimPoint-style workflows rest on.  Each replay gets its *own*
+SimPoint-style workflows rest on.  A machine sweep goes further:
+:func:`replay_capture_batched` replays the N configs in one pass over
+the columns (``replay_capture`` is the same kernel at N=1).  An FDO
+replay gets its *own*
 materialized probe: the FDO cost model mutates the probe it evaluates
 (layout decisions rewrite per-method counters, branch hints rewrite
 the event stream), so replays must never share one.
@@ -37,15 +40,19 @@ import numpy as np
 from ..core import metrics
 from ..core.errors import VerificationError, WorkloadError
 from . import telemetry
-from .cost import CostModel, MachineConfig
+from .cost import CostModel, MachineConfig, MachineReport, replay_reports
 from .profiler import ExecutionProfile
 from .telemetry import MethodCounters, Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.workload import Workload
-    from .sampling import SamplingPlan
 
-__all__ = ["TelemetryCapture", "capture_execution", "replay_capture"]
+__all__ = [
+    "TelemetryCapture",
+    "capture_execution",
+    "replay_capture",
+    "replay_capture_batched",
+]
 
 
 def _copy_counters(mc: MethodCounters) -> MethodCounters:
@@ -166,12 +173,29 @@ def capture_execution(
     return capture
 
 
+def _profile(capture: TelemetryCapture, report: MachineReport) -> ExecutionProfile:
+    return ExecutionProfile(
+        benchmark=capture.benchmark,
+        workload=capture.workload,
+        report=report,
+        output=None,
+        verified=capture.verified,
+    )
+
+
+def _record_replay(capture: TelemetryCapture, events: int, elapsed_ns: int) -> None:
+    metrics.inc(metrics.REPLAY_EVENTS_TOTAL, events, benchmark=capture.benchmark)
+    metrics.inc(metrics.REPLAY_NS_TOTAL, elapsed_ns, benchmark=capture.benchmark)
+    metrics.observe(
+        metrics.REPLAY_EPS, events / (elapsed_ns / 1e9), benchmark=capture.benchmark
+    )
+
+
 def replay_capture(
     capture: TelemetryCapture,
     *,
     machine: MachineConfig | None = None,
     cost_model: CostModel | None = None,
-    sampling: "SamplingPlan | None" = None,
 ) -> ExecutionProfile:
     """Replay a capture under a machine model, without re-executing.
 
@@ -180,64 +204,39 @@ def replay_capture(
     :class:`~repro.fdo.optimizer.FdoCostModel`).  The profile carries
     ``output=None`` — same as pool workers and cache hits, the replay
     stage never sees the benchmark output.
-
-    ``sampling`` selects phase-sampled replay
-    (:mod:`repro.machine.sampling`): the result is a
-    :class:`~repro.machine.sampling.SampledProfile` estimated from
-    representative intervals.  ``None`` — or a plan with
-    ``exact=True`` — takes the exact path, bit-identical to the
-    pre-sampling behavior.
     """
-    if sampling is not None and not sampling.exact:
-        from .sampling import SampledProfile, sampled_replay
-
-        t0 = time.perf_counter_ns()
-        report, info = sampled_replay(capture, sampling, cost_model=cost_model or CostModel(machine))
-        elapsed_ns = max(1, time.perf_counter_ns() - t0)
-        telemetry.record("engine.profile.replay_events", info.events_replayed)
-        telemetry.record("engine.profile.replay_ns", elapsed_ns)
-        telemetry.record("engine.profile.evaluations", 1)
-        telemetry.record("engine.profile.sampled_replays", 1)
-        metrics.inc(
-            metrics.REPLAY_EVENTS_TOTAL, info.events_replayed, benchmark=capture.benchmark
-        )
-        metrics.inc(metrics.REPLAY_NS_TOTAL, elapsed_ns, benchmark=capture.benchmark)
-        metrics.observe(
-            metrics.REPLAY_EPS,
-            info.events_replayed / (elapsed_ns / 1e9),
-            benchmark=capture.benchmark,
-        )
-        metrics.inc(metrics.SAMPLED_REPLAYS_TOTAL, benchmark=capture.benchmark)
-        metrics.observe(
-            metrics.SAMPLED_EVENT_RATIO, info.event_ratio, benchmark=capture.benchmark
-        )
-        return SampledProfile(
-            benchmark=capture.benchmark,
-            workload=capture.workload,
-            report=report,
-            output=None,
-            verified=capture.verified,
-            sampling=info,
-        )
     if cost_model is None:
         cost_model = CostModel(machine)
     probe = capture.materialize()
     t0 = time.perf_counter_ns()
     report = cost_model.evaluate(probe)
+    _record_replay(capture, capture.n_events, max(1, time.perf_counter_ns() - t0))
+    return _profile(capture, report)
+
+
+def replay_capture_batched(
+    capture: TelemetryCapture,
+    machines: "list[MachineConfig | None]",
+) -> list[ExecutionProfile]:
+    """Replay one capture under N machine configs in a single pass.
+
+    Returns one :class:`ExecutionProfile` per entry of ``machines``
+    (``None`` entries mean the default config), each bit-identical to
+    ``replay_capture(capture, machine=cfg)``: both run
+    :func:`~repro.machine.cost.replay_reports`, this one with the whole
+    config list so the configs share every cache level and predictor
+    scan they have in common (DESIGN.md §13).
+    """
+    cfgs = [m if m is not None else MachineConfig() for m in machines]
+    t0 = time.perf_counter_ns()
+    reports = replay_reports(
+        capture.methods, capture.columns, capture.sampling_stride, cfgs
+    )
     elapsed_ns = max(1, time.perf_counter_ns() - t0)
-    metrics.inc(
-        metrics.REPLAY_EVENTS_TOTAL, capture.n_events, benchmark=capture.benchmark
-    )
-    metrics.inc(metrics.REPLAY_NS_TOTAL, elapsed_ns, benchmark=capture.benchmark)
-    metrics.observe(
-        metrics.REPLAY_EPS,
-        capture.n_events / (elapsed_ns / 1e9),
-        benchmark=capture.benchmark,
-    )
-    return ExecutionProfile(
-        benchmark=capture.benchmark,
-        workload=capture.workload,
-        report=report,
-        output=None,
-        verified=capture.verified,
-    )
+    replayed = capture.n_events * len(cfgs)
+    telemetry.record("engine.profile.replay_events", replayed)
+    telemetry.record("engine.profile.replay_ns", elapsed_ns)
+    telemetry.record("engine.profile.evaluations", len(cfgs))
+    telemetry.record_max("engine.profile.replay_stride_max", capture.sampling_stride)
+    _record_replay(capture, replayed, elapsed_ns)
+    return [_profile(capture, report) for report in reports]

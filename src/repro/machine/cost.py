@@ -18,20 +18,32 @@ and then accounts cycles into the four top-down categories:
 All four components are attributed to the method whose events caused
 them, which also yields the method-coverage profile of Section V-C.
 
-The replay is a batched, per-kind kernel over the probe's columnar
-event stream: branch events (the only events that touch predictor
-state) are split out with one NumPy mask and replayed through the
-vectorized counter/history scans in :mod:`repro.machine.kernel`; data
-accesses go through the closed-form LRU filters, with only the
-genuinely order-dependent residue (conflicting L1D sets, shared
-L2/LLC state) walked scalar in its original interleaving;
-instruction-fetch bursts are deduplicated to unique
-(callee, footprint-window) pairs and resolved once per pair
-(``_replay_code_bursts``).  Rate extrapolation then runs vectorized
-over methods.  Results are bit-identical to the historical scalar loop
-(``tests/test_golden_equivalence.py``); replay volume and wall time
-are recorded under the ``engine.profile.*`` telemetry counters.  See
-DESIGN.md §9.
+There is one replay path, :func:`replay_reports`: a per-kind kernel
+over the columnar event stream that evaluates a *list* of machine
+configs in one pass.  :meth:`CostModel.evaluate` is its N=1 call and
+``replay_capture_batched`` its N-config call.  Every kernel it rests on
+is independent along some axis the configs never share, so the config
+list is an extra dimension rather than a loop:
+
+* **branch side** — branch events (the only events that touch
+  predictor state) are split out with one NumPy mask; configs are
+  grouped by predictor signature ``(kind, table_bits, history_bits)``
+  and each distinct signature contributes one row to a single
+  :func:`~repro.machine.kernel.counter_scan_batched` call.  Gshare
+  history columns are computed once per distinct history depth.
+* **memory side** — data accesses go through the closed-form LRU
+  filters of :mod:`repro.machine.kernel`; instruction-fetch bursts are
+  resolved once per unique (callee, intervening-method window) pair
+  (:func:`_replay_code_bursts`).  Each cache level is memoized on the
+  geometry fields it actually reads (:func:`_mem_replay`), so configs
+  that differ only below a level share that level's work.
+* **accounting** — per-config tallies are extrapolated to exact counts
+  vectorized over methods (:func:`_account`).
+
+Results are bit-identical to the historical scalar loop frozen in
+``tests/_legacy_machine.py`` (``tests/test_golden_equivalence.py``);
+replay volume and wall time are recorded under the
+``engine.profile.*`` telemetry counters.  See DESIGN.md §9.
 """
 
 from __future__ import annotations
@@ -44,21 +56,15 @@ import numpy as np
 from ..core.coverage import CoverageProfile
 from ..core.topdown import TopDownVector
 from . import telemetry
-from .branch import BimodalPredictor, GsharePredictor
-from .cache import CacheGeometry, CacheHierarchy, HierarchyStats
-from .kernel import lru_filter
+from .cache import CacheGeometry, HierarchyStats
+from .kernel import counter_scan_batched, gshare_history, lru_filter
 from .telemetry import EV_BRANCH, EV_DATA, MethodCounters, Probe
 
-__all__ = ["MachineConfig", "MethodCost", "CostModel", "MachineReport", "REPLAY_FIELDS"]
+__all__ = ["MachineConfig", "MethodCost", "CostModel", "MachineReport", "replay_reports"]
 
 # Cap on synthesized instruction-fetch blocks per sampled call, so one
 # giant method cannot dominate replay cost.
 _MAX_FETCH_BLOCKS = 256
-
-# Below this many cache accesses (data events plus synthesized fetch
-# blocks) the scalar dict walk beats the vectorized stack-distance
-# kernel's fixed overhead.
-_VECTOR_MIN_ACCESSES = 2048
 
 # Merge key stride for interleaving data accesses and per-call fetch
 # blocks in original order; must exceed _MAX_FETCH_BLOCKS + 1.
@@ -99,11 +105,6 @@ class MachineConfig:
         if self.mlp < 1.0 or self.fetch_overlap < 1.0:
             raise ValueError("mlp and fetch_overlap must be >= 1")
 
-    def make_predictor(self) -> GsharePredictor | BimodalPredictor:
-        if self.predictor == "gshare":
-            return GsharePredictor(self.predictor_table_bits, self.predictor_history_bits)
-        return BimodalPredictor(self.predictor_table_bits)
-
 
 @dataclass
 class MethodCost:
@@ -141,253 +142,6 @@ class MachineReport:
     branch_misprediction_rate: float
     sampling_stride: int
     counters: dict[str, float] = field(default_factory=dict)
-
-
-class _ReplayTallies:
-    """Per-method-slot tallies from one replay of the event stream."""
-
-    __slots__ = (
-        "branches", "mispredicts",
-        "data", "d_l2", "d_llc", "d_mem", "d_tlb",
-        "calls", "c_l2", "c_llc", "c_mem",
-    )
-
-    def __init__(self, n_methods: int) -> None:
-        self.branches = np.zeros(n_methods, dtype=np.int64)
-        self.mispredicts = np.zeros(n_methods, dtype=np.int64)
-        self.data = [0] * n_methods
-        self.d_l2 = [0] * n_methods
-        self.d_llc = [0] * n_methods
-        self.d_mem = [0] * n_methods
-        self.d_tlb = [0] * n_methods
-        self.calls = [0] * n_methods
-        self.c_l2 = [0] * n_methods
-        self.c_llc = [0] * n_methods
-        self.c_mem = [0] * n_methods
-
-
-def _stream_columns(probe: Probe) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The probe's event stream as four int64 columns.
-
-    Falls back to tuple unpacking for foreign probes whose ``events``
-    is a plain iterable of 4-tuples.
-    """
-    events = probe.events
-    columns = getattr(events, "columns", None)
-    if columns is not None:
-        return columns()
-    rows = list(events)
-    if not rows:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty, empty
-    arr = np.asarray(rows, dtype=np.int64)
-    return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-
-
-def _replay_stream(
-    probe: Probe,
-    predictor: GsharePredictor | BimodalPredictor,
-    hierarchy: CacheHierarchy,
-    n_methods: int,
-) -> _ReplayTallies:
-    """Replay the sampled, order-preserving event stream.
-
-    Branch events only touch predictor state, so they are extracted
-    with one mask and replayed in the predictor's batch loop; data and
-    call events share L2/LLC state and are walked in their original
-    interleaved order with the cache bookkeeping inlined.
-    """
-    midx, kind, a_col, b_col = _stream_columns(probe)
-    tallies = _ReplayTallies(n_methods)
-
-    # --- branch events: batch through the predictor -----------------------
-    branch_sel = kind == EV_BRANCH
-    if branch_sel.any():
-        b_midx = midx[branch_sel]
-        miss = predictor.replay(a_col[branch_sel], b_col[branch_sel])
-        miss_np = np.frombuffer(miss, dtype=np.uint8)
-        tallies.branches = np.bincount(b_midx, minlength=n_methods)
-        tallies.mispredicts = np.bincount(
-            b_midx, weights=miss_np, minlength=n_methods
-        ).astype(np.int64)
-
-    # --- data + instruction-fetch events -----------------------------------
-    mem_sel = ~branch_sel
-    if not mem_sel.any():
-        return tallies
-
-    # per-call code-fetch geometry, pre-resolved per method slot
-    code_base = np.zeros(n_methods, dtype=np.int64)
-    code_blocks = np.zeros(n_methods, dtype=np.int64)
-    for mc in probe.methods():
-        code_base[mc.index] = mc.code_base
-        code_blocks[mc.index] = min(max(1, mc.code_bytes // 64), _MAX_FETCH_BLOCKS)
-
-    # the store flag (column b) does not affect replay: caches are
-    # write-allocate, so loads and stores take the same path
-    m_midx = midx[mem_sel]
-    m_kind = kind[mem_sel]
-    m_a = a_col[mem_sel]
-    data_sel = m_kind == EV_DATA
-    n_accesses = int(data_sel.sum()) + int(code_blocks[m_a[~data_sel]].sum())
-    if n_accesses >= _VECTOR_MIN_ACCESSES:
-        _replay_mem_vector(
-            tallies, hierarchy, n_methods, m_midx, m_a, data_sel, code_base, code_blocks
-        )
-    else:
-        _replay_mem_scalar(
-            tallies,
-            hierarchy,
-            m_midx.tolist(),
-            m_kind.tolist(),
-            m_a.tolist(),
-            code_base.tolist(),
-            code_blocks.tolist(),
-        )
-    return tallies
-
-
-def _replay_mem_scalar(
-    tallies: _ReplayTallies,
-    hierarchy: CacheHierarchy,
-    m_list: list[int],
-    k_list: list[int],
-    a_list: list[int],
-    code_base: list[int],
-    code_blocks: list[int],
-) -> None:
-    """In-order dict walk of the data/fetch stream (short streams)."""
-    # pre-resolved cache state: set tables, geometry, local hit counters
-    l1d, l1i, l2, llc, dtlb = (
-        hierarchy.l1d, hierarchy.l1i, hierarchy.l2, hierarchy.llc, hierarchy.dtlb
-    )
-    l1d_sets, l1d_mask, l1d_shift, l1d_assoc = (
-        l1d._sets, l1d._set_mask, l1d._line_shift, l1d.config.associativity
-    )
-    l1i_sets, l1i_mask, l1i_shift, l1i_assoc = (
-        l1i._sets, l1i._set_mask, l1i._line_shift, l1i.config.associativity
-    )
-    l2_sets, l2_mask, l2_shift, l2_assoc = (
-        l2._sets, l2._set_mask, l2._line_shift, l2.config.associativity
-    )
-    llc_sets, llc_mask, llc_shift, llc_assoc = (
-        llc._sets, llc._set_mask, llc._line_shift, llc.config.associativity
-    )
-    tlb_map, tlb_shift, tlb_entries = dtlb._map, dtlb._page_shift, dtlb.entries
-    l1d_hits = l1d_misses = l1i_hits = l1i_misses = 0
-    l2_hits = l2_misses = llc_hits = llc_misses = 0
-    tlb_hits = tlb_misses = 0
-
-    data_ct = tallies.data
-    d_l2_ct, d_llc_ct, d_mem_ct, d_tlb_ct = (
-        tallies.d_l2, tallies.d_llc, tallies.d_mem, tallies.d_tlb
-    )
-    calls_ct = tallies.calls
-    c_l2_ct, c_llc_ct, c_mem_ct = tallies.c_l2, tallies.c_llc, tallies.c_mem
-
-    for mi, kd, av in zip(m_list, k_list, a_list):
-        if kd == EV_DATA:
-            data_ct[mi] += 1
-            page = av >> tlb_shift
-            if page in tlb_map:
-                del tlb_map[page]
-                tlb_map[page] = None
-                tlb_hits += 1
-            else:
-                tlb_misses += 1
-                if len(tlb_map) >= tlb_entries:
-                    tlb_map.pop(next(iter(tlb_map)))
-                tlb_map[page] = None
-                d_tlb_ct[mi] += 1
-            tag = av >> l1d_shift
-            lset = l1d_sets[tag & l1d_mask]
-            if tag in lset:
-                del lset[tag]
-                lset[tag] = None
-                l1d_hits += 1
-                continue
-            l1d_misses += 1
-            if len(lset) >= l1d_assoc:
-                lset.pop(next(iter(lset)))
-            lset[tag] = None
-            tag = av >> l2_shift
-            lset = l2_sets[tag & l2_mask]
-            if tag in lset:
-                del lset[tag]
-                lset[tag] = None
-                l2_hits += 1
-                d_l2_ct[mi] += 1
-                continue
-            l2_misses += 1
-            if len(lset) >= l2_assoc:
-                lset.pop(next(iter(lset)))
-            lset[tag] = None
-            tag = av >> llc_shift
-            lset = llc_sets[tag & llc_mask]
-            if tag in lset:
-                del lset[tag]
-                lset[tag] = None
-                llc_hits += 1
-                d_llc_ct[mi] += 1
-            else:
-                llc_misses += 1
-                if len(lset) >= llc_assoc:
-                    lset.pop(next(iter(lset)))
-                lset[tag] = None
-                d_mem_ct[mi] += 1
-        else:  # EV_CALL: synthesize instruction fetches for the callee
-            calls_ct[av] += 1
-            base = code_base[av]
-            for i in range(code_blocks[av]):
-                addr = base + i * 64
-                tag = addr >> l1i_shift
-                lset = l1i_sets[tag & l1i_mask]
-                if tag in lset:
-                    del lset[tag]
-                    lset[tag] = None
-                    l1i_hits += 1
-                    continue
-                l1i_misses += 1
-                if len(lset) >= l1i_assoc:
-                    lset.pop(next(iter(lset)))
-                lset[tag] = None
-                tag = addr >> l2_shift
-                lset = l2_sets[tag & l2_mask]
-                if tag in lset:
-                    del lset[tag]
-                    lset[tag] = None
-                    l2_hits += 1
-                    c_l2_ct[av] += 1
-                    continue
-                l2_misses += 1
-                if len(lset) >= l2_assoc:
-                    lset.pop(next(iter(lset)))
-                lset[tag] = None
-                tag = addr >> llc_shift
-                lset = llc_sets[tag & llc_mask]
-                if tag in lset:
-                    del lset[tag]
-                    lset[tag] = None
-                    llc_hits += 1
-                    c_llc_ct[av] += 1
-                else:
-                    llc_misses += 1
-                    if len(lset) >= llc_assoc:
-                        lset.pop(next(iter(lset)))
-                    lset[tag] = None
-                    c_mem_ct[av] += 1
-
-    # write the locally-accumulated counters back to the cache objects
-    l1d.hits += l1d_hits
-    l1d.misses += l1d_misses
-    l1i.hits += l1i_hits
-    l1i.misses += l1i_misses
-    l2.hits += l2_hits
-    l2.misses += l2_misses
-    llc.hits += llc_hits
-    llc.misses += llc_misses
-    dtlb.hits += tlb_hits
-    dtlb.misses += tlb_misses
 
 
 def _replay_code_bursts(
@@ -536,17 +290,43 @@ def _replay_code_bursts(
     return n_hits, n_misses, miss_addr, miss_attr, miss_key
 
 
-def _replay_mem_vector(
-    tallies: _ReplayTallies,
-    hierarchy: CacheHierarchy,
-    n_methods: int,
+def _predictor_sig(cfg: MachineConfig) -> tuple:
+    hbits = cfg.predictor_history_bits if cfg.predictor == "gshare" else 0
+    return (cfg.predictor, cfg.predictor_table_bits, hbits)
+
+
+def _branch_miss_rows(
+    sigs: list[tuple], pc: np.ndarray, tak: np.ndarray
+) -> np.ndarray:
+    """Per-signature mispredict rows from one batched counter scan."""
+    idx_rows: list[np.ndarray] = []
+    tables: list[np.ndarray] = []
+    hist_cache: dict[int, np.ndarray] = {}
+    for kind, tbits, hbits in sigs:
+        mask = (1 << tbits) - 1
+        if kind == "gshare" and hbits:
+            h = hist_cache.get(hbits)
+            if h is None:
+                h = hist_cache[hbits] = gshare_history(tak, 0, hbits)
+            idx = (pc ^ h) & mask
+        else:
+            idx = pc & mask
+        idx_rows.append(idx)
+        # fresh predictors: every counter starts weakly not-taken (1)
+        tables.append(np.full(1 << tbits, 1, dtype=np.uint8))
+    return counter_scan_batched(idx_rows, tak, tables)
+
+
+def _mem_replay(
+    geos: list[CacheGeometry],
+    nm: int,
     m_midx: np.ndarray,
     m_a: np.ndarray,
     data_sel: np.ndarray,
     code_base: np.ndarray,
     code_blocks: np.ndarray,
-) -> None:
-    """Vectorized walk of the data/fetch stream.
+) -> list[tuple[HierarchyStats, dict[str, np.ndarray]]]:
+    """Replay the data/fetch stream once for every distinct geometry.
 
     Data events repeating the previous data event's cache line are MRU
     hits in both the dTLB and the L1D with no state change, so they are
@@ -555,178 +335,216 @@ def _replay_mem_vector(
     call; the L1I replays call bursts at burst granularity
     (:func:`_replay_code_bursts`) when its preconditions hold.  L1
     misses are merged back into original program order (data and code
-    share the L2/LLC) and cascaded through L2 then LLC.  Hit/miss
-    decisions, final stats, and per-method tallies are bit-identical to
-    the scalar dict walk.
-    """
-    l1d, l1i, l2, llc, dtlb = (
-        hierarchy.l1d, hierarchy.l1i, hierarchy.l2, hierarchy.llc, hierarchy.dtlb
-    )
-    pos = np.arange(m_a.size, dtype=np.int64)
+    share the L2/LLC) and cascaded through L2 then LLC.
 
+    Each level's result is memoized on the geometry fields that level
+    actually reads, so geometries differing only *below* a level share
+    that level's work.  A level's memo key folds in the keys of the
+    levels feeding it: an L2 filters the miss stream of one particular
+    (L1D, L1I) pair, so its key is ``(stream key, own parameters)``.
+    The full-length dTLB/L1D/L1I streams typically resolve once or
+    twice per sweep; only the short residual miss streams fan out.
+
+    Returns one ``(cache stats, per-method tallies)`` pair per geometry.
+    """
+    pos = np.arange(m_a.size, dtype=np.int64)
     d_midx = m_midx[data_sel]
     d_addr = m_a[data_sel]
-    nd = d_addr.size
-    tallies.data = np.bincount(d_midx, minlength=n_methods)
-
-    if nd:
-        # consecutive same-line data events: MRU hits with no state
-        # change in the dTLB (same line implies same page) or L1D
-        d_lines = d_addr >> l1d._line_shift
-        dup = np.zeros(nd, dtype=bool)
-        dup[1:] = d_lines[1:] == d_lines[:-1]
-        n_dup = int(dup.sum())
-        if n_dup:
-            keep = ~dup
-            r_midx = d_midx[keep]
-            r_addr = d_addr[keep]
-            r_pos = pos[data_sel][keep]
-            dtlb.hits += n_dup
-            l1d.hits += n_dup
-        else:
-            r_midx, r_addr, r_pos = d_midx, d_addr, pos[data_sel]
-        nr = r_addr.size
-        # dTLB: fully associative over pages.  Pages are coarser than
-        # lines, so consecutive accesses repeat them even after the line
-        # dedup — again MRU hits with no state change.
-        pages = r_addr >> dtlb._page_shift
-        pdup = np.zeros(nr, dtype=bool)
-        pdup[1:] = pages[1:] == pages[:-1]
-        n_pdup = int(pdup.sum())
-        if n_pdup:
-            dtlb.hits += n_pdup
-            pkeep = ~pdup
-            tlb_hit_r = lru_filter(pages[pkeep], 0, dtlb.entries)
-            n_hit = int(tlb_hit_r.sum())
-            dtlb.hits += n_hit
-            dtlb.misses += (nr - n_pdup) - n_hit
-            tlb_miss_midx = r_midx[pkeep][~tlb_hit_r]
-        else:
-            tlb_hit_r = lru_filter(pages, 0, dtlb.entries)
-            n_hit = int(tlb_hit_r.sum())
-            dtlb.hits += n_hit
-            dtlb.misses += nr - n_hit
-            tlb_miss_midx = r_midx[~tlb_hit_r]
-        tallies.d_tlb = np.bincount(tlb_miss_midx, minlength=n_methods)
-        d_hit1 = lru_filter(r_addr >> l1d._line_shift, l1d._set_mask, l1d.config.associativity)
-        n_hit = int(d_hit1.sum())
-        l1d.hits += n_hit
-        l1d.misses += nr - n_hit
-    else:
-        r_midx, r_addr, r_pos = d_midx, d_addr, pos[:0]
-        d_hit1 = np.zeros(0, dtype=bool)
-
-    # calls expand to sequential instruction-fetch blocks for the callee
+    d_pos = pos[data_sel]
     c_midx = m_a[~data_sel]
-    tallies.calls = np.bincount(c_midx, minlength=n_methods)
-    i_miss_addr = i_miss_attr = i_miss_key = np.zeros(0, dtype=np.int64)
-    if c_midx.size:
-        c_key = pos[~data_sel] * _ORDER_STRIDE
-        burst = _replay_code_bursts(c_midx, c_key, code_base, code_blocks, l1i)
-        if burst is not None:
-            n_hits, n_misses, i_miss_addr, i_miss_attr, i_miss_key = burst
+    c_key0 = pos[~data_sel] * _ORDER_STRIDE
+    nd = d_addr.size
+    zeros = np.zeros(nm, dtype=np.int64)
+    counts = {
+        "data": np.bincount(d_midx, minlength=nm),
+        "calls": np.bincount(c_midx, minlength=nm),
+    }
+    empty_i64 = np.zeros(0, dtype=np.int64)
+
+    kept_memo: dict = {}  # line shift -> (r_midx, r_addr, r_pos, n_dup)
+    tlb_memo: dict = {}  # (line shift, page shift, entries) -> tallies
+    l1d_memo: dict = {}  # (line shift, set mask, assoc) -> (d_hit1, n_hit)
+    l1i_memo: dict = {}  # (line shift, set mask, assoc) -> burst result
+    stream_memo: dict = {}  # (l1d key, l1i key) -> merged L2 input
+    l2_memo: dict = {}  # (stream key, l2 params) -> tallies + LLC input
+    llc_memo: dict = {}  # (l2 key, llc params) -> tallies
+
+    out = []
+    for geometry in geos:
+        hier = geometry.hierarchy()
+        l1d, l1i, l2, llc, dtlb = hier.l1d, hier.l1i, hier.l2, hier.llc, hier.dtlb
+        rep = dict(counts)
+
+        # consecutive same-line dedup depends only on the line size
+        line_key = l1d._line_shift
+        kept = kept_memo.get(line_key)
+        if kept is None:
+            kept = (d_midx, d_addr, d_pos, 0)
+            if nd:
+                d_lines = d_addr >> line_key
+                dup = np.zeros(nd, dtype=bool)
+                dup[1:] = d_lines[1:] == d_lines[:-1]
+                n_dup = int(dup.sum())
+                if n_dup:
+                    keep = ~dup
+                    kept = (d_midx[keep], d_addr[keep], d_pos[keep], n_dup)
+            kept_memo[line_key] = kept
+        r_midx, r_addr, r_pos, n_dup = kept
+        nr = r_addr.size
+
+        # --- dTLB (fully associative over pages) and L1D
+        dkey = ikey = None
+        d_hit1 = np.zeros(0, dtype=bool)
+        rep["d_tlb"] = zeros
+        if nd:
+            tkey = (line_key, dtlb._page_shift, dtlb.entries)
+            tres = tlb_memo.get(tkey)
+            if tres is None:
+                # pages are coarser than lines, so consecutive accesses
+                # repeat them even after the line dedup — again MRU hits
+                # with no state change
+                pages = r_addr >> dtlb._page_shift
+                pdup = np.zeros(nr, dtype=bool)
+                pdup[1:] = pages[1:] == pages[:-1]
+                n_pdup = int(pdup.sum())
+                if n_pdup:
+                    pkeep = ~pdup
+                    t_hit = lru_filter(pages[pkeep], 0, dtlb.entries)
+                    t_miss_midx = r_midx[pkeep][~t_hit]
+                else:
+                    t_hit = lru_filter(pages, 0, dtlb.entries)
+                    t_miss_midx = r_midx[~t_hit]
+                tres = tlb_memo[tkey] = (
+                    n_pdup,
+                    int(t_hit.sum()),
+                    np.bincount(t_miss_midx, minlength=nm),
+                )
+            n_pdup, t_hits, rep["d_tlb"] = tres
+            dtlb.hits += n_dup + n_pdup + t_hits
+            dtlb.misses += (nr - n_pdup) - t_hits
+
+            dkey = (line_key, l1d._set_mask, l1d.config.associativity)
+            dres = l1d_memo.get(dkey)
+            if dres is None:
+                hit = lru_filter(r_addr >> line_key, l1d._set_mask, l1d.config.associativity)
+                dres = l1d_memo[dkey] = (hit, int(hit.sum()))
+            d_hit1, n_hit = dres
+            l1d.hits += n_dup + n_hit
+            l1d.misses += nr - n_hit
+
+        # --- L1I: burst-granular, falling back to the per-line filter
+        i_miss_addr = i_miss_attr = i_miss_key = empty_i64
+        if c_midx.size:
+            ikey = (l1i._line_shift, l1i._set_mask, l1i.config.associativity)
+            ires = l1i_memo.get(ikey)
+            if ires is None:
+                ires = _replay_code_bursts(c_midx, c_key0, code_base, code_blocks, l1i)
+                if ires is None:
+                    blocks = code_blocks[c_midx]
+                    total_blocks = int(blocks.sum())
+                    starts = np.zeros(c_midx.size, dtype=np.int64)
+                    np.cumsum(blocks[:-1], out=starts[1:])
+                    within = np.arange(total_blocks, dtype=np.int64) - np.repeat(
+                        starts, blocks
+                    )
+                    i_addr = np.repeat(code_base[c_midx], blocks) + within * 64
+                    i_hit1 = lru_filter(
+                        i_addr >> l1i._line_shift, l1i._set_mask, l1i.config.associativity
+                    )
+                    n_hit = int(i_hit1.sum())
+                    i_miss = ~i_hit1
+                    ires = (
+                        n_hit,
+                        total_blocks - n_hit,
+                        i_addr[i_miss],
+                        np.repeat(c_midx, blocks)[i_miss],
+                        (np.repeat(c_key0, blocks) + 1 + within)[i_miss],
+                    )
+                l1i_memo[ikey] = ires
+            n_hits, n_misses, i_miss_addr, i_miss_attr, i_miss_key = ires
             l1i.hits += n_hits
             l1i.misses += n_misses
-        else:
-            blocks = code_blocks[c_midx]
-            total_blocks = int(blocks.sum())
-            starts = np.zeros(c_midx.size, dtype=np.int64)
-            np.cumsum(blocks[:-1], out=starts[1:])
-            within = np.arange(total_blocks, dtype=np.int64) - np.repeat(starts, blocks)
-            i_addr = np.repeat(code_base[c_midx], blocks) + within * 64
-            i_hit1 = lru_filter(
-                i_addr >> l1i._line_shift, l1i._set_mask, l1i.config.associativity
+
+        # --- L2: this L1 pair's misses merged back to program order.
+        # Both halves arrive key-sorted (data keys follow event position;
+        # fetch-block keys are emitted in fetch order within each burst
+        # and bursts in position order), and merge keys are distinct, so
+        # two searchsorted calls place every element — no sort needed.
+        skey = (dkey, ikey)
+        sres = stream_memo.get(skey)
+        if sres is None:
+            d_miss = ~d_hit1
+            a_addr = r_addr[d_miss]
+            na, nb = a_addr.size, i_miss_addr.size
+            a_keys = r_pos[d_miss] * _ORDER_STRIDE
+            pos_a = np.arange(na, dtype=np.int64) + np.searchsorted(i_miss_key, a_keys)
+            pos_b = np.arange(nb, dtype=np.int64) + np.searchsorted(a_keys, i_miss_key)
+            l2_addr = np.empty(na + nb, dtype=np.int64)
+            l2_addr[pos_a] = a_addr
+            l2_addr[pos_b] = i_miss_addr
+            l2_attr = np.empty(na + nb, dtype=np.int64)
+            l2_attr[pos_a] = r_midx[d_miss]
+            l2_attr[pos_b] = i_miss_attr
+            l2_from_data = np.zeros(na + nb, dtype=bool)
+            l2_from_data[pos_a] = True
+            sres = stream_memo[skey] = (l2_addr, l2_attr, l2_from_data)
+        l2_addr, l2_attr, l2_from_data = sres
+
+        l2key = (skey, l2._line_shift, l2._set_mask, l2.config.associativity)
+        l2res = l2_memo.get(l2key)
+        if l2res is None:
+            hit2 = lru_filter(l2_addr >> l2._line_shift, l2._set_mask, l2.config.associativity)
+            miss2 = ~hit2
+            l2res = l2_memo[l2key] = (
+                int(hit2.sum()),
+                int(miss2.sum()),
+                np.bincount(l2_attr[hit2 & l2_from_data], minlength=nm),
+                np.bincount(l2_attr[hit2 & ~l2_from_data], minlength=nm),
+                (l2_addr[miss2], l2_attr[miss2], l2_from_data[miss2]),
             )
-            n_hit = int(i_hit1.sum())
-            l1i.hits += n_hit
-            l1i.misses += total_blocks - n_hit
-            i_miss = ~i_hit1
-            i_miss_addr = i_addr[i_miss]
-            i_miss_attr = np.repeat(c_midx, blocks)[i_miss]
-            i_miss_key = (np.repeat(c_key, blocks) + 1 + within)[i_miss]
+        n_hit2, n_miss2, rep["d_l2"], rep["c_l2"], llc_in = l2res
+        l2.hits += n_hit2
+        l2.misses += n_miss2
 
-    # Merge L1D and L1I misses back into original order for the L2.
-    # Both halves arrive key-sorted (data keys follow event position;
-    # fetch-block keys are emitted in fetch order within each burst and
-    # bursts in position order), and merge keys are distinct, so two
-    # searchsorted calls place every element — no sort needed.
-    d_miss = ~d_hit1
-    a_addr = r_addr[d_miss]
-    na = a_addr.size
-    nb = i_miss_addr.size
-    if not na + nb:
-        return
-    a_keys = r_pos[d_miss] * _ORDER_STRIDE
-    pos_a = np.arange(na, dtype=np.int64) + np.searchsorted(i_miss_key, a_keys)
-    pos_b = np.arange(nb, dtype=np.int64) + np.searchsorted(a_keys, i_miss_key)
-    l2_addr = np.empty(na + nb, dtype=np.int64)
-    l2_addr[pos_a] = a_addr
-    l2_addr[pos_b] = i_miss_addr
-    l2_attr = np.empty(na + nb, dtype=np.int64)
-    l2_attr[pos_a] = r_midx[d_miss]
-    l2_attr[pos_b] = i_miss_attr
-    l2_from_data = np.zeros(na + nb, dtype=bool)
-    l2_from_data[pos_a] = True
-
-    hit2 = lru_filter(l2_addr >> l2._line_shift, l2._set_mask, l2.config.associativity)
-    n_hit = int(hit2.sum())
-    l2.hits += n_hit
-    l2.misses += l2_addr.size - n_hit
-    tallies.d_l2 = np.bincount(l2_attr[hit2 & l2_from_data], minlength=n_methods)
-    tallies.c_l2 = np.bincount(l2_attr[hit2 & ~l2_from_data], minlength=n_methods)
-
-    # LLC sees L2 misses, order preserved
-    miss2 = ~hit2
-    llc_addr = l2_addr[miss2]
-    if not llc_addr.size:
-        return
-    llc_attr = l2_attr[miss2]
-    llc_from_data = l2_from_data[miss2]
-    hit3 = lru_filter(llc_addr >> llc._line_shift, llc._set_mask, llc.config.associativity)
-    n_hit = int(hit3.sum())
-    llc.hits += n_hit
-    llc.misses += llc_addr.size - n_hit
-    tallies.d_llc = np.bincount(llc_attr[hit3 & llc_from_data], minlength=n_methods)
-    tallies.c_llc = np.bincount(llc_attr[hit3 & ~llc_from_data], minlength=n_methods)
-    tallies.d_mem = np.bincount(llc_attr[~hit3 & llc_from_data], minlength=n_methods)
-    tallies.c_mem = np.bincount(llc_attr[~hit3 & ~llc_from_data], minlength=n_methods)
-
-
-#: Replay-tally fields, in the order the accounting step consumes them.
-#: Exact replay fills them with int64 bincounts; sampled replay
-#: (:mod:`repro.machine.sampling`) fills them with float64 estimates —
-#: both flow through the identical :func:`_account` arithmetic.
-REPLAY_FIELDS = (
-    "branches",
-    "mispredicts",
-    "data",
-    "d_l2",
-    "d_llc",
-    "d_mem",
-    "d_tlb",
-    "calls",
-    "c_l2",
-    "c_llc",
-    "c_mem",
-)
+        # --- LLC sees L2 misses, order preserved
+        lkey = (l2key, llc._line_shift, llc._set_mask, llc.config.associativity)
+        lres = llc_memo.get(lkey)
+        if lres is None:
+            llc_addr, llc_attr, llc_from_data = llc_in
+            hit3 = lru_filter(
+                llc_addr >> llc._line_shift, llc._set_mask, llc.config.associativity
+            )
+            lres = llc_memo[lkey] = (
+                int(hit3.sum()),
+                int((~hit3).sum()),
+                np.bincount(llc_attr[hit3 & llc_from_data], minlength=nm),
+                np.bincount(llc_attr[hit3 & ~llc_from_data], minlength=nm),
+                np.bincount(llc_attr[~hit3 & llc_from_data], minlength=nm),
+                np.bincount(llc_attr[~hit3 & ~llc_from_data], minlength=nm),
+            )
+        n_hit3, n_miss3, rep["d_llc"], rep["c_llc"], rep["d_mem"], rep["c_mem"] = lres
+        llc.hits += n_hit3
+        llc.misses += n_miss3
+        out.append((hier.stats(), rep))
+    return out
 
 
 def _account(
     cfg: MachineConfig,
-    methods: tuple[MethodCounters, ...],
+    methods: "tuple[MethodCounters, ...] | list[MethodCounters]",
     rep: "dict[str, np.ndarray]",
-) -> tuple[dict[str, MethodCost], TopDownVector, CoverageProfile, float, float, float]:
-    """Turn per-method replay tallies into the cycle accounting.
+    cache_stats: HierarchyStats,
+    sampling_stride: int,
+) -> MachineReport:
+    """Turn per-method replay tallies into one config's report.
 
-    ``rep`` maps every name in :data:`REPLAY_FIELDS` to a per-method
-    array.  Vectorized over methods; every elementwise expression
-    mirrors the historical scalar accounting operation-for-operation so
-    exact-replay results stay bit-identical (int64 inputs convert to
-    float64 at the same points the historical path converted them, and
-    float64 arrays holding exact integers take the same values).
-
-    Returns ``(per_method, topdown, coverage, total_cycles, seconds,
-    branch_misprediction_rate)``.
+    ``rep`` maps each tally name (``branches``, ``mispredicts``,
+    ``data``, ``d_l2``/``d_llc``/``d_mem``/``d_tlb``, ``calls``,
+    ``c_l2``/``c_llc``/``c_mem``) to an int64 per-method array.
+    Vectorized over methods; every elementwise expression mirrors the
+    historical scalar accounting operation-for-operation so results stay
+    bit-identical (int64 inputs convert to float64 at the same points
+    the historical path converted them).
     """
     nm = len(methods)
     mc_int = np.array([mc.int_ops for mc in methods], dtype=np.int64)
@@ -815,7 +633,87 @@ def _account(
     mispred_rate = (
         total_sampled_miss / total_sampled_branches if total_sampled_branches else 0.0
     )
-    return per_method, topdown, coverage, total, seconds, mispred_rate
+    return MachineReport(
+        topdown=topdown,
+        coverage=coverage,
+        cycles=total,
+        seconds=seconds,
+        per_method=per_method,
+        cache_stats=cache_stats,
+        branch_misprediction_rate=mispred_rate,
+        sampling_stride=sampling_stride,
+        counters={
+            "uops": sum(c.uops for c in per_method.values()),
+            "branches": float(sum(mc.branches for mc in methods)),
+            "data_accesses": float(sum(mc.data_accesses for mc in methods)),
+            "est_mispredicts": sum(c.est_mispredicts for c in per_method.values()),
+            "est_data_misses": sum(c.est_data_misses for c in per_method.values()),
+        },
+    )
+
+
+def replay_reports(
+    methods: "tuple[MethodCounters, ...] | list[MethodCounters]",
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    sampling_stride: int,
+    configs: "list[MachineConfig]",
+) -> list[MachineReport]:
+    """Replay one event stream under every config in ``configs``.
+
+    ``methods`` are the per-method counters in registration-index order
+    and ``columns`` the four event columns ``(method index, kind, a,
+    b)``.  Returns one :class:`MachineReport` per config, in order; a
+    one-element list is exactly what :meth:`CostModel.evaluate` returns.
+    The store flag (column ``b`` of data events) does not affect
+    replay: caches are write-allocate, so loads and stores take the
+    same path.
+    """
+    nm = len(methods)
+    midx, kind, a_col, b_col = columns
+
+    # --- branch side: one batched counter scan over distinct signatures
+    branch_sel = kind == EV_BRANCH
+    sigs: dict[tuple, int] = {}
+    for cfg in configs:
+        sigs.setdefault(_predictor_sig(cfg), len(sigs))
+    branches = np.zeros(nm, dtype=np.int64)
+    mis_rows = [branches] * len(sigs)
+    if branch_sel.any():
+        b_midx = midx[branch_sel]
+        branches = np.bincount(b_midx, minlength=nm)
+        tak = (b_col[branch_sel] != 0).astype(np.int64)
+        miss = _branch_miss_rows(list(sigs), a_col[branch_sel], tak)
+        mis_rows = [
+            np.bincount(b_midx, weights=row, minlength=nm).astype(np.int64) for row in miss
+        ]
+
+    # --- memory side: one pass over distinct geometries
+    geos: dict[CacheGeometry, int] = {}
+    for cfg in configs:
+        geos.setdefault(cfg.geometry, len(geos))
+    code_base = np.zeros(nm, dtype=np.int64)
+    code_blocks = np.zeros(nm, dtype=np.int64)
+    for mc in methods:
+        code_base[mc.index] = mc.code_base
+        code_blocks[mc.index] = min(max(1, mc.code_bytes // 64), _MAX_FETCH_BLOCKS)
+    mem_sel = ~branch_sel
+    mem = _mem_replay(
+        list(geos),
+        nm,
+        midx[mem_sel],
+        a_col[mem_sel],
+        kind[mem_sel] == EV_DATA,
+        code_base,
+        code_blocks,
+    )
+
+    # --- per-config accounting over the shared tallies
+    reports = []
+    for cfg in configs:
+        cache_stats, rep = mem[geos[cfg.geometry]]
+        rep = dict(rep, branches=branches, mispredicts=mis_rows[sigs[_predictor_sig(cfg)]])
+        reports.append(_account(cfg, methods, rep, cache_stats, sampling_stride))
+    return reports
 
 
 class CostModel:
@@ -825,57 +723,13 @@ class CostModel:
         self.config = config or MachineConfig()
 
     def evaluate(self, probe: Probe) -> MachineReport:
-        cfg = self.config
-        predictor = cfg.make_predictor()
-        hierarchy = cfg.geometry.hierarchy()
-
-        methods = probe.methods()
-        nm = len(methods)
-        n_events = len(probe.events)
-
-        # --- replay the sampled, order-preserving event stream -------------
+        """Replay the probe's sampled stream: :func:`replay_reports` at N=1."""
         t0 = time.perf_counter_ns()
-        rep = _replay_stream(probe, predictor, hierarchy, nm)
-        replay_ns = time.perf_counter_ns() - t0
-        telemetry.record("engine.profile.replay_events", n_events)
-        telemetry.record("engine.profile.replay_ns", replay_ns)
+        (report,) = replay_reports(
+            probe.methods(), probe.events.columns(), probe.sampling_stride, [self.config]
+        )
+        telemetry.record("engine.profile.replay_events", len(probe.events))
+        telemetry.record("engine.profile.replay_ns", time.perf_counter_ns() - t0)
         telemetry.record("engine.profile.evaluations", 1)
-        telemetry.record_max(
-            "engine.profile.replay_stride_max", probe.sampling_stride
-        )
-
-        # --- extrapolate sampled rates to exact counts and account cycles --
-        rep_arrays = {
-            "branches": rep.branches,
-            "mispredicts": rep.mispredicts,
-            "data": np.array(rep.data, dtype=np.int64),
-            "d_l2": np.array(rep.d_l2, dtype=np.int64),
-            "d_llc": np.array(rep.d_llc, dtype=np.int64),
-            "d_mem": np.array(rep.d_mem, dtype=np.int64),
-            "d_tlb": np.array(rep.d_tlb, dtype=np.int64),
-            "calls": np.array(rep.calls, dtype=np.int64),
-            "c_l2": np.array(rep.c_l2, dtype=np.int64),
-            "c_llc": np.array(rep.c_llc, dtype=np.int64),
-            "c_mem": np.array(rep.c_mem, dtype=np.int64),
-        }
-        per_method, topdown, coverage, total, seconds, mispred_rate = _account(
-            cfg, methods, rep_arrays
-        )
-
-        return MachineReport(
-            topdown=topdown,
-            coverage=coverage,
-            cycles=total,
-            seconds=seconds,
-            per_method=per_method,
-            cache_stats=hierarchy.stats(),
-            branch_misprediction_rate=mispred_rate,
-            sampling_stride=probe.sampling_stride,
-            counters={
-                "uops": sum(c.uops for c in per_method.values()),
-                "branches": float(probe.total_branches()),
-                "data_accesses": float(probe.total_data_accesses()),
-                "est_mispredicts": sum(c.est_mispredicts for c in per_method.values()),
-                "est_data_misses": sum(c.est_data_misses for c in per_method.values()),
-            },
-        )
+        telemetry.record_max("engine.profile.replay_stride_max", probe.sampling_stride)
+        return report

@@ -188,3 +188,71 @@ class TestClustering:
         # representatives belong to their own clusters
         for rep, ms in clusters.items():
             assert rep in ms
+
+
+class TestKmeansDeterminism:
+    """Same seed -> identical clustering, in-process and across processes."""
+
+    @staticmethod
+    def _digest(assignments, centroids):
+        import hashlib
+
+        import numpy as np
+
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(assignments).tobytes())
+        h.update(np.ascontiguousarray(centroids).tobytes())
+        return h.hexdigest()
+
+    def test_same_seed_same_clusters_in_process(self):
+        import numpy as np
+
+        rng = np.random.default_rng(7)
+        vectors = rng.normal(size=(200, 9))
+        a1, c1 = kmeans(vectors, 12, seed=0)
+        a2, c2 = kmeans(vectors, 12, seed=0)
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(c1, c2)
+        a3, _ = kmeans(vectors, 12, seed=1)
+        assert not np.array_equal(a1, a3)  # the seed is actually consulted
+
+    def test_same_seed_same_clusters_across_interpreters(self):
+        """A worker process must derive the same clusters as the parent."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import numpy as np
+
+        import repro
+
+        rng = np.random.default_rng(11)
+        vectors = rng.normal(size=(150, 7))
+        assignments, centroids = kmeans(vectors, 8, seed=0)
+        local = self._digest(assignments, centroids)
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from repro.fdo.clustering import kmeans\n"
+            "rng = np.random.default_rng(11)\n"
+            "vectors = rng.normal(size=(150, 7))\n"
+            "assignments, centroids = kmeans(vectors, 8, seed=0)\n"
+            "h = hashlib.sha256()\n"
+            "h.update(np.ascontiguousarray(assignments).tobytes())\n"
+            "h.update(np.ascontiguousarray(centroids).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        pkg_root = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        assert proc.stdout.strip() == local

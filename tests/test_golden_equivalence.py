@@ -17,7 +17,7 @@ try:
     from tests import _legacy_machine as legacy
 except ImportError:  # running with tests/ itself on sys.path
     import _legacy_machine as legacy
-from repro.core.suite import alberta_workloads, get_benchmark, registry
+from repro.core.registry import alberta_workloads, benchmark_ids as registry, get_benchmark
 from repro.machine.cost import CostModel, MachineConfig
 from repro.machine.telemetry import Probe
 

@@ -295,6 +295,20 @@ class TestDiff:
         assert rep.entries  # something was actually compared
         assert rep.ignored >= 1  # the info family was recorded, not diffed
 
+    def test_retired_sampled_counts_are_not_diffed(self):
+        """Records from versions with phase-sampled replay carry
+        ``replays_sampled`` counts and a ``repro_sampled_replays_total``
+        family; both are retired and never produce a finding."""
+        a, b = make_record("a"), make_record("b")
+        b["counts"]["replays_sampled"] = 5
+        b["metrics"]["metrics"]["repro_sampled_replays_total"] = {
+            "kind": "counter", "labels": ["benchmark"],
+            "series": [{"labels": ["505.mcf_r"], "value": 5}],
+        }
+        rep = diff_records(a, b)
+        assert rep.ok
+        assert not any("sampled" in e.metric for e in rep.entries)
+
     def test_exact_mismatch_is_flagged(self):
         rep = diff_records(
             make_record("a", events=1_000_000), make_record("b", events=999_999)

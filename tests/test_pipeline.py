@@ -24,7 +24,7 @@ from repro.core.artifacts import ArtifactStore, CaptureStore, decode_capture, en
 from repro.core.cache import capture_key, profile_to_dict
 from repro.core.errors import CacheCorruption, MachineMismatch, StudyError
 from repro.core.run import Session
-from repro.core.suite import alberta_workloads, get_benchmark
+from repro.core.registry import alberta_workloads, get_benchmark
 from repro.core.sweep import MachineGrid, SweepRequest
 from repro.core.trace import summarize_trace
 from repro.fdo.evaluation import cross_validate, evaluate_pair, train_profile

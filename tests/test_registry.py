@@ -6,8 +6,8 @@ Four layers of guarantees for :mod:`repro.core.registry`:
   (hypothesis), fingerprints are cross-process stable, and malformed
   or colliding registrations are rejected at load time;
 * every built-in benchmark / generator module actually registers
-  (the lint test fails when a new module skips the decorator), and no
-  consumer imports the legacy ``core.suite`` tables (grep gate);
+  (the lint test fails when a new module skips the decorator), and
+  nothing imports the removed legacy ``core.suite`` shim (grep gate);
 * a descriptor version bump invalidates exactly its own cache
   artifacts — bumped keys miss, untouched keys stay warm;
 * plugins load through ``importlib.metadata`` entry points, can be
@@ -250,20 +250,22 @@ class TestBuiltinCoverage:
         assert "505.mcf_r" in in_table2 and "525.x264_r" not in in_table2
 
     def test_no_consumer_imports_legacy_suite_tables(self) -> None:
-        """Grep gate: ``core/suite.py`` is a shim, nothing imports it."""
+        """Grep gate: the ``core/suite.py`` shim is gone and no module
+        in the package, tests, benchmarks or examples imports it."""
+        assert not (SRC / "repro" / "core" / "suite.py").exists()
         pattern = re.compile(
             r"^\s*(?:from\s+(?:repro\.core\.suite|\.suite|\.core\.suite)\s+import"
+            r"|from\s+(?:repro\.core|\.core|\.)\s+import\s+(?:.*,\s*)?suite\b"
             r"|import\s+repro\.core\.suite)\b"
         )
         offenders = []
-        for path in sorted((SRC / "repro").rglob("*.py")):
-            if path.relative_to(SRC / "repro").as_posix() == "core/suite.py":
-                continue
-            for lineno, line in enumerate(
-                path.read_text().splitlines(), start=1
-            ):
-                if pattern.match(line):
-                    offenders.append(f"{path}:{lineno}: {line.strip()}")
+        for top in ("src", "tests", "benchmarks", "examples", "perfbench"):
+            for path in sorted((REPO / top).rglob("*.py")):
+                for lineno, line in enumerate(
+                    path.read_text().splitlines(), start=1
+                ):
+                    if pattern.match(line):
+                        offenders.append(f"{path}:{lineno}: {line.strip()}")
         assert not offenders, "\n".join(offenders)
 
 

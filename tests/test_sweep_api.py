@@ -1,18 +1,17 @@
 """The declarative sweep API and the one-pass batched replay behind it.
 
 Covers the :mod:`repro.core.sweep` request values (validation,
-serialization, cache tokens), the deprecation adapters that keep the
-legacy ``characterize_sweep(benchmark_id, machines)`` / keyword
-``replay`` call forms working, and the golden gate of the batched
-path: a batched sweep must be bit-identical to per-config replay —
-checked on the tier-1 trio here and on all 16 benchmarks under
-``-m slow``.
+serialization, cache tokens), the request-only call forms of
+``characterize_sweep`` / ``replay``, and the golden gate of the batched
+pass: ``replay_capture_batched(cap, grid)`` must be bit-identical to
+``replay_capture`` once per config — the check that the multi-config
+memo sharing is exact — on all 16 benchmarks (every Alberta workload
+under ``-m slow``).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -21,8 +20,8 @@ try:
 except ImportError:  # running with tests/ itself on sys.path
     from test_golden_equivalence import assert_reports_identical
 from repro.core.cache import ResultCache
+from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
 from repro.core.run import Session
-from repro.core.suite import alberta_workloads, benchmark_ids
 from repro.core.sweep import (
     MachineGrid,
     ReplayRequest,
@@ -31,10 +30,12 @@ from repro.core.sweep import (
 )
 from repro.core.trace import summarize_trace
 from repro.machine.cache import CacheGeometry
-from repro.machine.capture import capture_execution
+from repro.machine.capture import (
+    capture_execution,
+    replay_capture,
+    replay_capture_batched,
+)
 from repro.machine.cost import MachineConfig
-from repro.machine.sampling import SamplingPlan
-from repro.core.suite import get_benchmark
 
 TIER1_TRIO = ["505.mcf_r", "519.lbm_r", "557.xz_r"]
 
@@ -125,28 +126,36 @@ class TestSweepRequest:
             SweepRequest(benchmark="505.mcf_r", grid=[None])
         with pytest.raises(ValueError, match="base_seed"):
             SweepRequest(benchmark="505.mcf_r", grid=grid, base_seed="0")
-        with pytest.raises(ValueError, match="batched"):
-            SweepRequest(benchmark="505.mcf_r", grid=grid, batched="yes")
 
-    def test_dict_roundtrip_with_sampling(self):
-        req = SweepRequest(
-            benchmark="505.mcf_r",
-            grid=TEST_GRID,
-            base_seed=7,
-            sampling=SamplingPlan(),
-            batched=False,
-        )
+    def test_dict_roundtrip(self):
+        req = SweepRequest(benchmark="505.mcf_r", grid=TEST_GRID, base_seed=7)
         back = SweepRequest.from_dict(json.loads(json.dumps(req.to_dict())))
         assert back == req
         assert back.cache_token() == req.cache_token()
 
-    def test_cache_token_shape_and_strategy_blindness(self):
-        batched = SweepRequest(benchmark="505.mcf_r", grid=TEST_GRID)
-        forced = SweepRequest(benchmark="505.mcf_r", grid=TEST_GRID, batched=False)
-        token = batched.cache_token()
+    def test_from_dict_accepts_null_retired_fields(self):
+        """Requests serialized with ``"sampling": null, "batched": null``
+        (the earlier to_dict shape) still load."""
+        data = {**SweepRequest(benchmark="505.mcf_r", grid=TEST_GRID).to_dict(),
+                "sampling": None, "batched": None}
+        assert SweepRequest.from_dict(data).benchmark == "505.mcf_r"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sampling", {"intervals": 1280, "phases": 12}), ("batched", False),
+         ("batched", True)],
+    )
+    def test_from_dict_rejects_retired_fields(self, field, value):
+        """A set ``sampling``/``batched`` is outside input the engine can
+        no longer honour; running it exact would mislabel the results."""
+        data = {**SweepRequest(benchmark="505.mcf_r", grid=TEST_GRID).to_dict(),
+                field: value}
+        with pytest.raises(ValueError, match=repr(field)):
+            SweepRequest.from_dict(data)
+
+    def test_cache_token_shape(self):
+        token = SweepRequest(benchmark="505.mcf_r", grid=TEST_GRID).cache_token()
         assert token.startswith("sweep.505.mcf_r.s0.grid.4.")
-        # batched vs per-config is an execution strategy, not an identity
-        assert forced.cache_token() == token
         seeded = SweepRequest(benchmark="505.mcf_r", grid=TEST_GRID, base_seed=1)
         assert seeded.cache_token() != token
 
@@ -157,10 +166,6 @@ class TestReplayRequest:
             ReplayRequest(machine="i7-6700k")
         assert ReplayRequest(machine=None).machine is None
         assert ReplayRequest().machine is not None  # the engine sentinel
-
-    def test_sampling_validation(self):
-        with pytest.raises(ValueError, match="sampling"):
-            ReplayRequest(sampling="1/64")
 
 
 class TestDefaultSweepGrid:
@@ -178,108 +183,70 @@ class TestDefaultSweepGrid:
         assert len(geos) > 1
 
 
-class TestDeprecationAdapters:
-    def test_legacy_sweep_call_sites_pass_unmodified(self, tmp_path):
-        """The pre-redesign call form must keep working (and warn)."""
-        machines = [None, MachineConfig(predictor="bimodal")]
-        wl = _refrate("519.lbm_r")
-        with Session(cache=tmp_path / "store") as s:
-            with pytest.warns(DeprecationWarning, match="SweepRequest"):
-                legacy = s.characterize_sweep("519.lbm_r", machines, [wl])
-        with Session(cache=tmp_path / "store2") as s:
-            new = s.characterize_sweep(
-                SweepRequest(
-                    benchmark="519.lbm_r",
-                    grid=MachineGrid.from_machines(machines),
-                ),
-                workloads=[wl],
-            )
-        assert legacy.ok and new.ok
-        assert legacy.config_names == new.config_names == ["cfg0", "cfg1"]
-        for a, b in zip(legacy.characterizations, new.characterizations):
-            assert a.table2_row() == b.table2_row()
-
+class TestRequestOnlyForms:
     def test_sweep_rejects_mixed_forms(self):
+        """Only ``characterize_sweep(SweepRequest, workloads=...)`` is
+        accepted: the retired positional-id / machine-list / keyword
+        forms are type errors, not silent reinterpretations."""
         req = SweepRequest(benchmark="519.lbm_r", grid=TEST_GRID)
         with Session() as s:
-            with pytest.raises(TypeError, match="not both"):
+            with pytest.raises(TypeError, match="positional"):
                 s.characterize_sweep(req, [None])
-            with pytest.raises(TypeError, match="on the request itself"):
+            with pytest.raises(TypeError, match="base_seed"):
                 s.characterize_sweep(req, base_seed=3)
-            with pytest.raises(TypeError, match="needs a machine list"):
+            with pytest.raises(TypeError, match="pass a SweepRequest"):
                 s.characterize_sweep("519.lbm_r")
 
-    def test_legacy_replay_keywords_warn_bare_stays_silent(self):
+    def test_replay_takes_a_request(self):
         wl = _refrate("519.lbm_r")
         cap = capture_execution(get_benchmark("519.lbm_r"), wl)
         with Session() as s:
-            with pytest.warns(DeprecationWarning, match="ReplayRequest"):
-                legacy = s.replay(cap, machine=MachineConfig(width=8))
             via_request = s.replay(cap, ReplayRequest(machine=MachineConfig(width=8)))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                bare = s.replay(cap)
-        assert legacy is not None and via_request is not None and bare is not None
-        assert_reports_identical(legacy.report, via_request.report, "replay adapter")
-        with Session() as s:
-            with pytest.raises(TypeError, match="on the request itself"):
-                s.replay(cap, ReplayRequest(), machine=None)
+            bare = s.replay(cap)
+            with pytest.raises(TypeError, match="machine"):
+                s.replay(cap, machine=None)
+        direct = replay_capture(cap, machine=MachineConfig(width=8))
+        assert_reports_identical(via_request.report, direct.report, "replay request")
+        assert bare is not None
 
 
-def _sweep_pair(bid, tmp_path, grid):
-    """One batched and one per-config sweep of ``bid`` over ``grid``."""
-    results = {}
-    for mode, batched in (("batched", None), ("per-config", False)):
-        trace = tmp_path / f"{bid}.{mode}.jsonl"
-        with Session(
-            cache=tmp_path / f"{bid}.{mode}", trace=trace
-        ) as s:
-            results[mode] = s.characterize_sweep(
-                SweepRequest(
-                    benchmark=bid,
-                    grid=grid,
-                    keep_profiles=True,
-                    batched=batched,
-                )
-            )
-        results[mode + ".trace"] = summarize_trace(trace)
-    return results
+def _assert_batched_matches_single(bid, grid, workloads):
+    """One N-config pass == N single-config replays, bit for bit."""
+    bench = get_benchmark(bid)
+    for wl in workloads:
+        cap = capture_execution(bench, wl)
+        batched = replay_capture_batched(cap, list(grid.machines))
+        for name, m, got in zip(grid.names, grid.machines, batched):
+            want = replay_capture(cap, machine=m)
+            assert_reports_identical(got.report, want.report, f"{bid}/{name}/{wl.name}")
 
 
 class TestGoldenSweepIdentity:
-    """Batched multi-config replay == per-config replay, bit for bit."""
+    """Batched multi-config replay == single-config replay, bit for bit."""
 
     @pytest.mark.parametrize("bid", TIER1_TRIO)
     def test_trio_bit_identical(self, bid, tmp_path):
-        res = _sweep_pair(bid, tmp_path, TEST_GRID)
-        batched, per_config = res["batched"], res["per-config"]
-        assert batched.ok and per_config.ok
-        assert batched.config_names == per_config.config_names
-        for name in TEST_GRID.names:
-            a = batched.profile_for(name)
-            b = per_config.profile_for(name)
-            assert a.table2_row() == b.table2_row()
-            for pa, pb in zip(a.profiles, b.profiles):
-                assert_reports_identical(
-                    pa.report, pb.report, f"{bid}/{name}/{pa.workload}"
-                )
-        # the batched run actually batched; the forced run did not
-        assert res["batched.trace"].replays_batched == res["batched.trace"].replays
-        assert res["per-config.trace"].replays_batched == 0
+        """Every Alberta workload of the trio, through the engine too."""
+        _assert_batched_matches_single(bid, TEST_GRID, alberta_workloads(bid))
+        trace = tmp_path / "sweep.jsonl"
+        with Session(cache=tmp_path / "store", trace=trace) as s:
+            result = s.characterize_sweep(
+                SweepRequest(benchmark=bid, grid=TEST_GRID, keep_profiles=True)
+            )
+        assert result.ok
+        summary = summarize_trace(trace)
+        assert summary.replays_batched == summary.replays == len(TEST_GRID) * len(
+            alberta_workloads(bid)
+        )
+
+    @pytest.mark.parametrize("bid", sorted(benchmark_ids()))
+    def test_refrate_bit_identical(self, bid):
+        _assert_batched_matches_single(bid, TEST_GRID, [_refrate(bid)])
 
     @pytest.mark.slow
     @pytest.mark.parametrize("bid", sorted(benchmark_ids()))
-    def test_full_suite_bit_identical(self, bid, tmp_path):
-        res = _sweep_pair(bid, tmp_path, default_sweep_grid())
-        batched, per_config = res["batched"], res["per-config"]
-        assert batched.ok and per_config.ok
-        for name in default_sweep_grid().names:
-            a = batched.profile_for(name)
-            b = per_config.profile_for(name)
-            for pa, pb in zip(a.profiles, b.profiles):
-                assert_reports_identical(
-                    pa.report, pb.report, f"{bid}/{name}/{pa.workload}"
-                )
+    def test_full_suite_bit_identical(self, bid):
+        _assert_batched_matches_single(bid, default_sweep_grid(), alberta_workloads(bid))
 
 
 class TestSweepResultOrdering:
@@ -301,28 +268,33 @@ class TestSweepResultOrdering:
 
 
 class TestReplayModeProvenance:
-    def test_cache_envelopes_record_replay_mode(self, tmp_path):
-        res = _sweep_pair("519.lbm_r", tmp_path, TEST_GRID)
-        assert res["batched"].ok and res["per-config"].ok
-        n_cells = len(TEST_GRID) * len(alberta_workloads("519.lbm_r"))
-        batched_modes = ResultCache(tmp_path / "519.lbm_r.batched").replay_modes()
-        assert batched_modes["batched"] == n_cells
-        assert batched_modes["per-config"] == 0
-        forced_modes = ResultCache(tmp_path / "519.lbm_r.per-config").replay_modes()
-        assert forced_modes["batched"] == 0
-        assert forced_modes["per-config"] == n_cells
-
     def test_profiles_round_trip_from_labeled_envelopes(self, tmp_path):
-        """A replay_mode-labeled cache entry must still deserialize."""
-        wl = _refrate("519.lbm_r")
+        """Entries earlier versions wrote with ``replay_mode`` provenance
+        (and warm hits on them) still decode and serve the same rows."""
+        grid = MachineGrid.from_presets("default", "i7-6700k")
         with Session(cache=tmp_path / "store", trace=tmp_path / "cold.jsonl") as s:
-            cold = s.characterize_sweep(
-                SweepRequest(benchmark="519.lbm_r", grid=TEST_GRID)
-            )
+            cold = s.characterize_sweep(SweepRequest(benchmark="519.lbm_r", grid=grid))
+        cache = ResultCache(tmp_path / "store")
+        entries = list(cache._entries())
+        assert entries
+        for i, path in enumerate(entries):
+            data = json.loads(path.read_bytes())
+            data["replay_mode"] = ("batched", "per-config")[i % 2]
+            path.write_text(json.dumps(data))
         with Session(cache=tmp_path / "store", trace=tmp_path / "warm.jsonl") as s:
-            warm = s.characterize_sweep(
-                SweepRequest(benchmark="519.lbm_r", grid=TEST_GRID)
-            )
+            warm = s.characterize_sweep(SweepRequest(benchmark="519.lbm_r", grid=grid))
         assert summarize_trace(tmp_path / "warm.jsonl").replays == 0
         for a, b in zip(cold.characterizations, warm.characterizations):
             assert a.table2_row() == b.table2_row()
+
+    def test_sampled_envelope_section_is_ignored(self):
+        """A phase-sampled entry's ``sampling`` section (written by
+        earlier versions) decodes as a plain exact-shaped profile."""
+        from repro.core.cache import profile_from_dict, profile_to_dict
+
+        cap = capture_execution(get_benchmark("519.lbm_r"), _refrate("519.lbm_r"))
+        profile = replay_capture(cap)
+        data = {**profile_to_dict(profile), "sampling": {"event_ratio": 13.1}}
+        back = profile_from_dict(json.loads(json.dumps(data)))
+        assert type(back).__name__ == "ExecutionProfile"
+        assert_reports_identical(back.report, profile.report, "sampled envelope")

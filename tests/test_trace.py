@@ -9,7 +9,9 @@ from repro.core.trace import (
     CellSpan,
     RunSummary,
     TraceWriter,
+    export_chrome_trace,
     read_trace,
+    render_trace_spans,
     summarize_trace,
     trace_spans,
 )
@@ -99,6 +101,27 @@ class TestTruncatedJournal:
         path = tmp_path / "run.jsonl"
         path.write_text("\n" + json.dumps(SPANS[0].to_dict()) + "\n\n")
         assert trace_spans(path) == [SPANS[0]]
+
+
+class TestRetiredFields:
+    def test_journal_with_sampled_replay_fields_still_loads(self, tmp_path):
+        """Journals written with phase-sampled replay carry ``sampled``
+        spans, a ``sample`` stage and ``replays_sampled`` in the summary;
+        the retired keys are ignored, everything else decodes."""
+        path = tmp_path / "old.jsonl"
+        span = {**SPANS[0].to_dict(), "sampled": True, "replay": "run",
+                "span_id": "c1", "parent_id": "run"}
+        stage = {"type": "stage", "name": "sample", "benchmark": span["benchmark"],
+                 "workload": span["workload"], "start_s": 0.0, "duration_s": 0.1,
+                 "span_id": "c1.s", "parent_id": "c1"}
+        summary = {**RunSummary(cells=1, ok=1, replays=1).to_dict(),
+                   "replays_sampled": 1}
+        path.write_text("\n".join(json.dumps(r) for r in (span, stage, summary)) + "\n")
+        assert trace_spans(path)[0].workload == span["workload"]
+        got = summarize_trace(path)
+        assert (got.cells, got.replays) == (1, 1)
+        assert "sample" in render_trace_spans(path)
+        assert export_chrome_trace(path)["traceEvents"]
 
 
 class TestTelemetryMirror:
