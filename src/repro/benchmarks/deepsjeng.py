@@ -43,12 +43,67 @@ _KING_DELTAS = (-17, -16, -15, -1, 1, 15, 16, 17)
 _BISHOP_DELTAS = (-17, -15, 15, 17)
 _ROOK_DELTAS = (-16, -1, 1, 16)
 
+#: The 64 on-board 0x88 squares, ascending (the order every scan uses).
+_SQUARES = tuple(sq for sq in range(128) if not sq & 0x88)
+
 # central piece-square bonus, mirrored for black
 _PST = [0] * 128
-for _sq in range(128):
-    if not _sq & 0x88:
-        _file, _rank = _sq & 7, _sq >> 4
-        _PST[_sq] = 6 - (abs(2 * _file - 7) + abs(2 * _rank - 7))
+for _sq in _SQUARES:
+    _file, _rank = _sq & 7, _sq >> 4
+    _PST[_sq] = 6 - (abs(2 * _file - 7) + abs(2 * _rank - 7))
+
+
+def _piece_values(sq: int) -> tuple[int, ...]:
+    """Signed evaluation of every piece code on ``sq``, indexed by the
+    code itself: black codes -6..-1 index from the end of the tuple."""
+    out = [0] * 13
+    for kind, value in _VALUES.items():
+        out[kind] = value + _PST[sq]
+        out[-kind] = -(value + _PST[sq])
+    return tuple(out)
+
+
+#: Squares whose occupancy the static-eval probe records as branches.
+_EVAL_SAMPLE = tuple(range(0, 128, 8))
+
+#: (square, signed value by piece code) for :func:`evaluate`.
+_EVAL_TABLE = tuple((sq, _piece_values(sq)) for sq in _SQUARES)
+
+
+def _steps(sq: int, deltas: tuple[int, ...]) -> tuple[int, ...]:
+    """On-board single-step targets from ``sq``, in delta order."""
+    return tuple(sq + d for d in deltas if not (sq + d) & 0x88)
+
+
+def _rays(sq: int, deltas: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """On-board sliding rays from ``sq``, one per delta, in delta order
+    (a ray that leaves the board at once is kept, empty)."""
+    rays = []
+    for d in deltas:
+        ray = []
+        t = sq + d
+        while not t & 0x88:
+            ray.append(t)
+            t += d
+        rays.append(tuple(ray))
+    return tuple(rays)
+
+
+# Per-square target tables (indexed by 0x88 square; off-board slots empty).
+_PAWN_CAPTURES = ([()] * 128, [()] * 128)  # (white, black): fwd-1, fwd+1
+_KNIGHT_TARGETS = [()] * 128
+_KING_TARGETS = [()] * 128
+_BISHOP_RAYS = [()] * 128
+_ROOK_RAYS = [()] * 128
+_QUEEN_RAYS = [()] * 128
+for _sq in _SQUARES:
+    _PAWN_CAPTURES[0][_sq] = _steps(_sq, (15, 17))
+    _PAWN_CAPTURES[1][_sq] = _steps(_sq, (-17, -15))
+    _KNIGHT_TARGETS[_sq] = _steps(_sq, _KNIGHT_DELTAS)
+    _KING_TARGETS[_sq] = _steps(_sq, _KING_DELTAS)
+    _BISHOP_RAYS[_sq] = _rays(_sq, _BISHOP_DELTAS)
+    _ROOK_RAYS[_sq] = _rays(_sq, _ROOK_DELTAS)
+    _QUEEN_RAYS[_sq] = _BISHOP_RAYS[_sq] + _ROOK_RAYS[_sq]
 
 _ZOBRIST_RNG = random.Random(0xC0FFEE)
 _ZOBRIST = [[_ZOBRIST_RNG.getrandbits(64) for _ in range(13)] for _ in range(128)]
@@ -75,9 +130,14 @@ class ChessInput:
 
 
 class Position:
-    """A chess position on a 0x88 board."""
+    """A chess position on a 0x88 board.
 
-    __slots__ = ("board", "white_to_move", "castling", "ep_square", "hash_")
+    ``kings`` holds the (white, black) king squares, -1 when absent,
+    kept up to date by :meth:`make_move` so :meth:`find_king` needs no
+    board scan.
+    """
+
+    __slots__ = ("board", "white_to_move", "castling", "ep_square", "hash_", "kings")
 
     def __init__(self) -> None:
         self.board = [EMPTY] * 128
@@ -85,6 +145,7 @@ class Position:
         self.castling = ""
         self.ep_square = -1
         self.hash_ = 0
+        self.kings = (-1, -1)
 
     @classmethod
     def from_fen(cls, fen: str) -> "Position":
@@ -114,6 +175,7 @@ class Position:
             r = int(parts[3][1]) - 1
             pos.ep_square = r * 16 + f
         pos._rehash()
+        pos.kings = (_first_square(pos.board, KING), _first_square(pos.board, -KING))
         return pos
 
     def to_fen(self) -> str:
@@ -143,8 +205,8 @@ class Position:
 
     def _rehash(self) -> None:
         h = 0
-        for sq in range(128):
-            if not sq & 0x88 and self.board[sq] != EMPTY:
+        for sq in _SQUARES:
+            if self.board[sq] != EMPTY:
                 h ^= _ZOBRIST[sq][self.board[sq] + 6]
         if not self.white_to_move:
             h ^= _ZOBRIST_SIDE
@@ -157,46 +219,41 @@ class Position:
         p.castling = self.castling
         p.ep_square = self.ep_square
         p.hash_ = self.hash_
+        p.kings = self.kings
         return p
 
     # ------------------------------------------------------------- movegen
 
     def find_king(self, white: bool) -> int:
-        target = KING if white else -KING
-        for sq in range(128):
-            if not sq & 0x88 and self.board[sq] == target:
-                return sq
-        return -1
+        return self.kings[0 if white else 1]
 
     def attacked_by(self, sq: int, by_white: bool) -> bool:
         board = self.board
         sign = 1 if by_white else -1
-        # pawns
-        for d in ((-15, -17) if by_white else (15, 17)):
-            f = sq + d
-            if not f & 0x88 and board[f] == sign * PAWN:
+        # an attacking pawn stands where the other side's pawn on
+        # ``sq`` would capture
+        pawn = sign * PAWN
+        for f in _PAWN_CAPTURES[1 if by_white else 0][sq]:
+            if board[f] == pawn:
                 return True
-        for d in _KNIGHT_DELTAS:
-            f = sq + d
-            if not f & 0x88 and board[f] == sign * KNIGHT:
+        knight = sign * KNIGHT
+        for f in _KNIGHT_TARGETS[sq]:
+            if board[f] == knight:
                 return True
-        for d in _KING_DELTAS:
-            f = sq + d
-            if not f & 0x88 and board[f] == sign * KING:
+        king = sign * KING
+        for f in _KING_TARGETS[sq]:
+            if board[f] == king:
                 return True
-        for deltas, sliders in (
-            (_BISHOP_DELTAS, (BISHOP, QUEEN)),
-            (_ROOK_DELTAS, (ROOK, QUEEN)),
-        ):
-            for d in deltas:
-                f = sq + d
-                while not f & 0x88:
+        for rays, slider in ((_BISHOP_RAYS[sq], BISHOP), (_ROOK_RAYS[sq], ROOK)):
+            slider *= sign
+            queen = sign * QUEEN
+            for ray in rays:
+                for f in ray:
                     piece = board[f]
                     if piece != EMPTY:
-                        if piece * sign > 0 and abs(piece) in sliders:
+                        if piece == slider or piece == queen:
                             return True
                         break
-                    f += d
         return False
 
     def pseudo_moves(self) -> list[tuple[int, int, int]]:
@@ -204,14 +261,13 @@ class Position:
         board = self.board
         white = self.white_to_move
         sign = 1 if white else -1
+        pawn_captures = _PAWN_CAPTURES[0 if white else 1]
         moves: list[tuple[int, int, int]] = []
-        for sq in range(128):
-            if sq & 0x88:
-                continue
+        for sq in _SQUARES:
             piece = board[sq]
-            if piece == EMPTY or piece * sign < 0:
+            if piece * sign <= 0:
                 continue
-            kind = abs(piece)
+            kind = piece * sign
             if kind == PAWN:
                 fwd = 16 * sign
                 one = sq + fwd
@@ -221,39 +277,73 @@ class Position:
                     two = one + fwd
                     if sq >> 4 == start_rank and not two & 0x88 and board[two] == EMPTY:
                         moves.append((sq, two, EMPTY))
-                for d in (fwd - 1, fwd + 1):
-                    t = sq + d
-                    if t & 0x88:
-                        continue
+                for t in pawn_captures[sq]:
                     if board[t] * sign < 0:
                         moves.append((sq, t, board[t]))
                     elif t == self.ep_square:
                         moves.append((sq, t, -sign * PAWN))
             elif kind == KNIGHT or kind == KING:
-                for d in _KNIGHT_DELTAS if kind == KNIGHT else _KING_DELTAS:
-                    t = sq + d
-                    if t & 0x88:
-                        continue
-                    if board[t] * sign <= 0:
-                        moves.append((sq, t, board[t]))
+                for t in (_KNIGHT_TARGETS if kind == KNIGHT else _KING_TARGETS)[sq]:
+                    captured = board[t]
+                    if captured * sign <= 0:
+                        moves.append((sq, t, captured))
             else:
-                deltas = (
-                    _BISHOP_DELTAS
+                rays = (
+                    _BISHOP_RAYS
                     if kind == BISHOP
-                    else _ROOK_DELTAS
+                    else _ROOK_RAYS
                     if kind == ROOK
-                    else _BISHOP_DELTAS + _ROOK_DELTAS
-                )
-                for d in deltas:
-                    t = sq + d
-                    while not t & 0x88:
+                    else _QUEEN_RAYS
+                )[sq]
+                for ray in rays:
+                    for t in ray:
                         captured = board[t]
                         if captured * sign > 0:
                             break
                         moves.append((sq, t, captured))
                         if captured != EMPTY:
                             break
-                        t += d
+        return moves
+
+    def pseudo_captures(self) -> list[tuple[int, int, int]]:
+        """The captures among :meth:`pseudo_moves` (en passant included),
+        in the same order, without generating the quiet moves."""
+        board = self.board
+        white = self.white_to_move
+        sign = 1 if white else -1
+        pawn_captures = _PAWN_CAPTURES[0 if white else 1]
+        moves: list[tuple[int, int, int]] = []
+        for sq in _SQUARES:
+            piece = board[sq]
+            if piece * sign <= 0:
+                continue
+            kind = piece * sign
+            if kind == PAWN:
+                for t in pawn_captures[sq]:
+                    if board[t] * sign < 0:
+                        moves.append((sq, t, board[t]))
+                    elif t == self.ep_square:
+                        moves.append((sq, t, -sign * PAWN))
+            elif kind == KNIGHT or kind == KING:
+                for t in (_KNIGHT_TARGETS if kind == KNIGHT else _KING_TARGETS)[sq]:
+                    captured = board[t]
+                    if captured * sign < 0:
+                        moves.append((sq, t, captured))
+            else:
+                rays = (
+                    _BISHOP_RAYS
+                    if kind == BISHOP
+                    else _ROOK_RAYS
+                    if kind == ROOK
+                    else _QUEEN_RAYS
+                )[sq]
+                for ray in rays:
+                    for t in ray:
+                        captured = board[t]
+                        if captured != EMPTY:
+                            if captured * sign < 0:
+                                moves.append((sq, t, captured))
+                            break
         return moves
 
     def make_move(self, move: tuple[int, int, int]) -> "Position":
@@ -265,8 +355,13 @@ class Position:
         sign = 1 if piece > 0 else -1
         h = p.hash_
         h ^= _ZOBRIST[frm][piece + 6]
-        if board[to] != EMPTY:
-            h ^= _ZOBRIST[to][board[to] + 6]
+        target = board[to]
+        if target != EMPTY:
+            h ^= _ZOBRIST[to][target + 6]
+            if target == -sign * KING:  # an illegal position's king falls
+                p.kings = (p.kings[0], -1) if sign > 0 else (-1, p.kings[1])
+        if piece == sign * KING:
+            p.kings = (to, p.kings[1]) if sign > 0 else (p.kings[0], to)
         # en passant capture removes a pawn not on `to`
         if abs(piece) == PAWN and to == self.ep_square and board[to] == EMPTY:
             cap_sq = to - 16 * sign
@@ -302,18 +397,17 @@ class Position:
 
 def evaluate(pos: Position) -> int:
     """Static evaluation (material + centralization), from White's view."""
-    score = 0
     board = pos.board
-    for sq in range(128):
-        if sq & 0x88:
-            continue
-        piece = board[sq]
-        if piece == EMPTY:
-            continue
-        kind = abs(piece)
-        value = _VALUES[kind] + _PST[sq]
-        score += value if piece > 0 else -value
-    return score
+    return sum([values[board[sq]] for sq, values in _EVAL_TABLE])
+
+
+def _first_square(board: list[int], piece: int) -> int:
+    """The lowest square holding ``piece``, or -1 (off-board slots are
+    always empty, so a list search finds an on-board square)."""
+    try:
+        return board.index(piece)
+    except ValueError:
+        return -1
 
 
 def perft(pos: Position, depth: int) -> int:
@@ -380,16 +474,15 @@ class _Searcher:
         with probe.method("static_eval", code_bytes=6144):
             stand_pat = evaluate(pos)
             probe.ops(64)
-            probe.branches(
-                (pos.board[sq] != EMPTY for sq in range(0, 128, 8)), site=3
-            )
+            board = pos.board
+            probe.branches([board[sq] != EMPTY for sq in _EVAL_SAMPLE], site=3)
         score = stand_pat if pos.white_to_move else -stand_pat
         if score >= beta or qdepth <= 0:
             return score
         if score > alpha:
             alpha = score
         with probe.method("gen_captures", code_bytes=4096):
-            captures = [m for m in pos.pseudo_moves() if m[2] != EMPTY]
+            captures = pos.pseudo_captures()
             probe.ops(len(captures) * 12 + 48)
         captures.sort(key=lambda m: -_VALUES.get(abs(m[2]), 0))
         for move in captures:

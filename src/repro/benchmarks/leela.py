@@ -22,6 +22,7 @@ playouts per move.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -104,29 +105,13 @@ def parse_sgf(text: str) -> tuple[int, list[tuple[int, int | None]]]:
     return size, moves
 
 
-class GoBoard:
-    """Go board with group capture, suicide, and simple-ko rules."""
-
-    __slots__ = ("size", "cells", "ko_point", "captures")
-
-    def __init__(self, size: int):
-        self.size = size
-        self.cells = [EMPTY] * (size * size)
-        self.ko_point = -1
-        self.captures = [0, 0, 0]
-
-    def copy(self) -> "GoBoard":
-        b = GoBoard.__new__(GoBoard)
-        b.size = self.size
-        b.cells = self.cells[:]
-        b.ko_point = self.ko_point
-        b.captures = self.captures[:]
-        return b
-
-    def neighbors(self, point: int) -> list[int]:
-        size = self.size
-        out = []
+@functools.cache
+def _neighbor_table(size: int) -> tuple[tuple[int, ...], ...]:
+    """Per-point neighbor tuples (up, down, left, right) for one board size."""
+    table = []
+    for point in range(size * size):
         row, col = divmod(point, size)
+        out = []
         if row > 0:
             out.append(point - size)
         if row < size - 1:
@@ -135,11 +120,36 @@ class GoBoard:
             out.append(point - 1)
         if col < size - 1:
             out.append(point + 1)
-        return out
+        table.append(tuple(out))
+    return tuple(table)
+
+
+class GoBoard:
+    """Go board with group capture, suicide, and simple-ko rules."""
+
+    __slots__ = ("size", "cells", "ko_point", "captures", "_nbrs")
+
+    def __init__(self, size: int):
+        self.size = size
+        self.cells = [EMPTY] * (size * size)
+        self.ko_point = -1
+        self.captures = [0, 0, 0]
+        self._nbrs = _neighbor_table(size)
+
+    def copy(self) -> "GoBoard":
+        b = GoBoard.__new__(GoBoard)
+        b.size = self.size
+        b.cells = self.cells[:]
+        b.ko_point = self.ko_point
+        b.captures = self.captures[:]
+        b._nbrs = self._nbrs
+        return b
 
     def _group_and_liberties(self, point: int) -> tuple[list[int], int]:
         """Flood-fill the group at ``point``; returns (stones, #liberties)."""
-        color = self.cells[point]
+        cells = self.cells
+        nbrs = self._nbrs
+        color = cells[point]
         stack = [point]
         seen = {point}
         liberties: set[int] = set()
@@ -147,8 +157,8 @@ class GoBoard:
         while stack:
             p = stack.pop()
             group.append(p)
-            for q in self.neighbors(p):
-                c = self.cells[q]
+            for q in nbrs[p]:
+                c = cells[q]
                 if c == EMPTY:
                     liberties.add(q)
                 elif c == color and q not in seen:
@@ -156,51 +166,68 @@ class GoBoard:
                     stack.append(q)
         return group, len(liberties)
 
+    def _has_liberty(self, point: int) -> bool:
+        """True if the group at ``point`` has a liberty (stops at the first)."""
+        cells = self.cells
+        nbrs = self._nbrs
+        for q in nbrs[point]:
+            if cells[q] == EMPTY:
+                return True
+        color = cells[point]
+        stack = [point]
+        seen = {point}
+        while stack:
+            for q in nbrs[stack.pop()]:
+                c = cells[q]
+                if c == EMPTY:
+                    return True
+                if c == color and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return False
+
     def is_legal(self, point: int, color: int) -> bool:
-        if self.cells[point] != EMPTY or point == self.ko_point:
+        cells = self.cells
+        if cells[point] != EMPTY or point == self.ko_point:
             return False
         # fast path: any empty neighbor makes the move legal
-        for q in self.neighbors(point):
-            if self.cells[q] == EMPTY:
+        nbrs = self._nbrs[point]
+        for q in nbrs:
+            if cells[q] == EMPTY:
                 return True
         # otherwise legal iff it captures something or joins a group
         # that keeps a liberty
         other = BLACK + WHITE - color
-        self.cells[point] = color
+        cells[point] = color
         try:
-            for q in self.neighbors(point):
-                if self.cells[q] == other:
-                    _, libs = self._group_and_liberties(q)
-                    if libs == 0:
-                        return True
-            _, own_libs = self._group_and_liberties(point)
-            return own_libs > 0
+            for q in nbrs:
+                if cells[q] == other and not self._has_liberty(q):
+                    return True
+            return self._has_liberty(point)
         finally:
-            self.cells[point] = EMPTY
+            cells[point] = EMPTY
 
     def play(self, point: int | None, color: int) -> int:
         """Apply a move (None = pass); returns stones captured."""
         if point is None:
             self.ko_point = -1
             return 0
-        if self.cells[point] != EMPTY:
+        cells = self.cells
+        if cells[point] != EMPTY:
             raise BenchmarkError(f"go: point {point} occupied")
         other = BLACK + WHITE - color
-        self.cells[point] = color
+        cells[point] = color
         captured: list[int] = []
-        for q in self.neighbors(point):
-            if self.cells[q] == other:
-                group, libs = self._group_and_liberties(q)
-                if libs == 0:
-                    captured.extend(group)
-        for p in set(captured):
-            self.cells[p] = EMPTY
-        n_captured = len(set(captured))
-        if n_captured == 0:
-            _, own_libs = self._group_and_liberties(point)
-            if own_libs == 0:
-                self.cells[point] = EMPTY
-                raise BenchmarkError("go: suicide move")
+        for q in self._nbrs[point]:
+            if cells[q] == other and not self._has_liberty(q):
+                captured.extend(self._group_and_liberties(q)[0])
+        dead = set(captured)
+        for p in dead:
+            cells[p] = EMPTY
+        n_captured = len(dead)
+        if n_captured == 0 and not self._has_liberty(point):
+            cells[point] = EMPTY
+            raise BenchmarkError("go: suicide move")
         # simple ko: single-stone capture of a single stone
         self.ko_point = -1
         if n_captured == 1:
@@ -212,18 +239,21 @@ class GoBoard:
 
     def is_eyelike(self, point: int, color: int) -> bool:
         """True if ``point`` is surrounded by ``color`` stones (do not fill)."""
-        for q in self.neighbors(point):
-            if self.cells[q] != color:
+        cells = self.cells
+        for q in self._nbrs[point]:
+            if cells[q] != color:
                 return False
         return True
 
     def score(self) -> float:
         """Tromp-Taylor area score, positive in Black's favour."""
         size2 = self.size * self.size
+        cells = self.cells
+        nbrs = self._nbrs
         black = white = 0
         visited = [False] * size2
         for p in range(size2):
-            c = self.cells[p]
+            c = cells[p]
             if c == BLACK:
                 black += 1
             elif c == WHITE:
@@ -237,8 +267,8 @@ class GoBoard:
                 while stack:
                     q = stack.pop()
                     region.append(q)
-                    for r in self.neighbors(q):
-                        c2 = self.cells[r]
+                    for r in nbrs[q]:
+                        c2 = cells[r]
                         if c2 == EMPTY and not visited[r]:
                             visited[r] = True
                             stack.append(r)
@@ -353,13 +383,18 @@ def _mcts_move(
 
 
 def _legal_moves(board: GoBoard, color: int) -> list[int]:
-    return [
-        p
-        for p in range(board.size * board.size)
-        if board.cells[p] == EMPTY
-        and not board.is_eyelike(p, color)
-        and board.is_legal(p, color)
-    ]
+    cells = board.cells
+    nbrs = board._nbrs
+    is_legal = board.is_legal
+    legal = []
+    for p in range(len(cells)):
+        if cells[p] == EMPTY:
+            for q in nbrs[p]:
+                if cells[q] != color:  # not an eye of `color` (is_eyelike)
+                    if is_legal(p, color):
+                        legal.append(p)
+                    break
+    return legal
 
 
 def _playout(
@@ -379,29 +414,38 @@ def _playout(
     """
     passes = 0
     steps = 0
+    size2 = board.size * board.size
+    cells = board.cells
+    nbrs = board._nbrs
+    randrange = rng.randrange
+    is_legal = board.is_legal
+    play = board.play
     while passes < 2 and steps < max_steps:
         steps += 1
-        size2 = board.size * board.size
         # sample candidate points until a legal one is found — each
         # legality test is a data-dependent, effectively random branch
         move = None
         for _ in range(12):
-            p = rng.randrange(size2)
+            p = randrange(size2)
             reads.append(pool_base + p * 4)
-            ok = (
-                board.cells[p] == EMPTY
-                and not board.is_eyelike(p, color)
-                and board.is_legal(p, color)
-            )
+            # empty, not an eye of the mover (is_eyelike), and legal; an
+            # empty neighbor settles legality as is_legal's fast path does
+            ok = False
+            if cells[p] == EMPTY:
+                for q in nbrs[p]:
+                    c = cells[q]
+                    if c != color:
+                        ok = p != board.ko_point if c == EMPTY else is_legal(p, color)
+                        break
             branch_buf.append(ok)
             if ok:
                 move = p
                 break
         if move is None:
-            board.play(None, color)
+            play(None, color)
             passes += 1
         else:
-            board.play(move, color)
+            play(move, color)
             passes = 0
         color = BLACK + WHITE - color
     return board.score()

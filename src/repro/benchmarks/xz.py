@@ -60,108 +60,44 @@ class XzInput:
             raise ValueError("XzInput: max_chain must be >= 1")
 
 
-class _RangeEncoder:
-    """Adaptive binary range coder (the LZMA entropy-coding stage).
+#: Range-coder normalization threshold: renormalize below 2**24.
+_TOP = 1 << 24
 
-    Uses the canonical LZMA carry-propagation scheme: emitted bytes are
-    buffered through ``cache``/``cache_size`` so that a carry out of the
-    32-bit ``low`` register can ripple into bytes already produced.
+#: ``[True] * k`` for the match-extension branch runs (k <= 16).
+_TRUE_RUNS = tuple([True] * k for k in range(17))
+
+#: The eight bits of every byte value, most significant first.
+_BYTE_BITS = tuple(tuple(bool((b >> i) & 1) for i in range(7, -1, -1)) for b in range(256))
+
+# The adaptive binary range coder (the LZMA entropy-coding stage) keeps
+# its state in locals of :func:`compress` / :func:`decompress`: its
+# per-bit step runs inline in their loops.  A coded token is a sequence
+# of fields ``(probs, base, nbits[, value])``: ``nbits`` bits, most
+# significant first, the i-th adapting ``probs[base + i]``.
+
+
+def _shift_low(low: int, cache: int, cache_size: int, out: bytearray) -> tuple[int, int, int]:
+    """Emit the encoder's top byte, returning the new (low, cache, cache_size).
+
+    The canonical LZMA carry scheme: emitted bytes are buffered through
+    ``cache``/``cache_size`` so that a carry out of the 32-bit ``low``
+    register can ripple into bytes already produced.
     """
-
-    TOP = 1 << 24
-
-    def __init__(self) -> None:
-        self.low = 0
-        self.range_ = 0xFFFFFFFF
-        self.cache = 0
-        self.cache_size = 1
-        self.out = bytearray()
-
-    def _shift_low(self) -> None:
-        if self.low < 0xFF000000 or self.low >= 0x1_0000_0000:
-            carry = self.low >> 32
-            temp = self.cache
-            while True:
-                self.out.append((temp + carry) & 0xFF)
-                temp = 0xFF
-                self.cache_size -= 1
-                if self.cache_size == 0:
-                    break
-            self.cache = (self.low >> 24) & 0xFF
-        self.cache_size += 1
-        self.low = (self.low << 8) & 0xFFFFFFFF
-
-    def encode_bit(self, probs: list[int], idx: int, bit: int) -> None:
-        prob = probs[idx]
-        bound = (self.range_ >> 11) * prob
-        if bit == 0:
-            self.range_ = bound
-            probs[idx] = prob + ((2048 - prob) >> 5)
-        else:
-            self.low += bound
-            self.range_ -= bound
-            probs[idx] = prob - (prob >> 5)
-        while self.range_ < self.TOP:
-            self.range_ <<= 8
-            self._shift_low()
-
-    def finish(self) -> bytes:
-        for _ in range(5):
-            self._shift_low()
-        return bytes(self.out)
-
-
-class _RangeDecoder:
-    """Mirror of :class:`_RangeEncoder`."""
-
-    TOP = 1 << 24
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 5
-        self.range_ = 0xFFFFFFFF
-        self.code = 0
-        for i in range(5):
-            self.code = (self.code << 8) | (data[i] if i < len(data) else 0)
-        self.code &= 0xFFFFFFFF
-
-    def decode_bit(self, probs: list[int], idx: int) -> int:
-        prob = probs[idx]
-        bound = (self.range_ >> 11) * prob
-        if self.code < bound:
-            bit = 0
-            self.range_ = bound
-            probs[idx] = prob + ((2048 - prob) >> 5)
-        else:
-            bit = 1
-            self.code -= bound
-            self.range_ -= bound
-            probs[idx] = prob - (prob >> 5)
-        while self.range_ < self.TOP:
-            nxt = self.data[self.pos] if self.pos < len(self.data) else 0
-            self.pos += 1
-            self.code = ((self.code << 8) | nxt) & 0xFFFFFFFF
-            self.range_ <<= 8
-        return bit
-
-    def byte_position(self) -> int:
-        return self.pos
+    if low < 0xFF000000 or low >= 0x1_0000_0000:
+        carry = low >> 32
+        temp = cache
+        while True:
+            out.append((temp + carry) & 0xFF)
+            temp = 0xFF
+            cache_size -= 1
+            if cache_size == 0:
+                break
+        cache = (low >> 24) & 0xFF
+    return (low << 8) & 0xFFFFFFFF, cache, cache_size + 1
 
 
 def _new_probs(n: int) -> list[int]:
     return [1024] * n
-
-
-def _encode_number(enc: _RangeEncoder, probs: list[int], value: int, bits: int) -> None:
-    for i in range(bits - 1, -1, -1):
-        enc.encode_bit(probs, bits - 1 - i, (value >> i) & 1)
-
-
-def _decode_number(dec: _RangeDecoder, probs: list[int], bits: int) -> int:
-    value = 0
-    for i in range(bits):
-        value = (value << 1) | dec.decode_bit(probs, i)
-    return value
 
 
 def compress(
@@ -182,7 +118,11 @@ def compress(
     head: list[int] = [-1] * (1 << _HASH_BITS)
     chain: list[int] = [-1] * params.dict_size
 
-    enc = _RangeEncoder()
+    low = 0
+    range_ = 0xFFFFFFFF
+    cache = 0
+    cache_size = 1
+    out = bytearray()
     flag_probs = _new_probs(2)
     lit_probs = _new_probs(256 * 8)
     len_probs = _new_probs(16)
@@ -213,17 +153,17 @@ def compress(
         cand = head[h]
         tries = params.max_chain
         lo_limit = at - min_pos_limit
+        limit = min(max_match, n - at)
         while cand >= 0 and cand >= lo_limit and tries > 0:
             tries -= 1
             length = 0
-            limit = min(max_match, n - at)
             cpos = cand
             # data-dependent inner match-extension loop
             while length < limit and data[cpos + length] == data[at + length]:
                 length += 1
             # the extension loop is a data-dependent branch: `length`
             # taken iterations followed by one not-taken exit
-            match_probes.extend([True] * min(length, 16))
+            match_probes.extend(_TRUE_RUNS[length if length < 16 else 16])
             match_probes.append(False)
             match_probes.append(length >= _MIN_MATCH)
             window_reads.append(_WINDOW_REGION + (cand & dict_mask) * 8)
@@ -255,9 +195,11 @@ def compress(
                 best_len = 0  # force the literal path for this byte
 
         if best_len >= _MIN_MATCH:
-            enc.encode_bit(flag_probs, 0, 1)
-            _encode_number(enc, len_probs, best_len, 8)
-            _encode_number(enc, dist_probs, best_dist, 16)
+            fields = (
+                (flag_probs, 0, 1, 1),
+                (len_probs, 0, 8, best_len),
+                (dist_probs, 0, 16, best_dist),
+            )
             n_matches += 1
             total_match_len += best_len
             end = min(pos + best_len, n - 2)
@@ -269,24 +211,37 @@ def compress(
                 p += 1
             pos += best_len
         else:
-            enc.encode_bit(flag_probs, 0, 0)
             byte = data[pos]
             # literal context: top 3 bits of the previous byte (known to
             # the decoder as well, keeping the adaptive models in sync)
             ctx = (data[pos - 1] >> 5) if pos > 0 else 0
-            for i in range(7, -1, -1):
-                bit = (byte >> i) & 1
-                enc.encode_bit(lit_probs, ctx * 8 + (7 - i), bit)
-                # the range coder branches on the bit value itself — a
-                # data-dependent branch that is unpredictable exactly when
-                # the content is incompressible
-                bit_branches.append(bool(bit))
+            fields = ((flag_probs, 0, 1, 0), (lit_probs, ctx * 8, 8, byte))
+            # the range coder branches on the bit value itself — a
+            # data-dependent branch that is unpredictable exactly when
+            # the content is incompressible
+            bit_branches.extend(_BYTE_BITS[byte])
             n_literals += 1
             if pos + _MIN_MATCH <= n:
                 h = _hash3(pos)
                 chain[pos & dict_mask] = head[h]
                 head[h] = pos
             pos += 1
+
+        for probs, base, shift, value in fields:
+            for idx in range(base, base + shift):
+                shift -= 1
+                prob = probs[idx]
+                bound = (range_ >> 11) * prob
+                if (value >> shift) & 1:
+                    low += bound
+                    range_ -= bound
+                    probs[idx] = prob - (prob >> 5)
+                else:
+                    range_ = bound
+                    probs[idx] = prob + ((2048 - prob) >> 5)
+                while range_ < _TOP:
+                    range_ <<= 8
+                    low, cache, cache_size = _shift_low(low, cache, cache_size, out)
 
         if probe is not None and len(window_reads) >= 8192:
             probe.accesses(window_reads)
@@ -315,12 +270,20 @@ def compress(
             * 8
         )
 
-    return enc.finish()
+    for _ in range(5):
+        low, cache, cache_size = _shift_low(low, cache, cache_size, out)
+    return bytes(out)
 
 
 def decompress(blob: bytes, expected_size: int, probe: Probe | None = None) -> bytes:
     """Inverse of :func:`compress`."""
-    dec = _RangeDecoder(blob)
+    n_blob = len(blob)
+    pos = 5
+    range_ = 0xFFFFFFFF
+    code = 0
+    for i in range(5):
+        code = (code << 8) | (blob[i] if i < n_blob else 0)
+    code &= 0xFFFFFFFF
     flag_probs = _new_probs(2)
     lit_probs = _new_probs(256 * 8)
     len_probs = _new_probs(16)
@@ -331,9 +294,44 @@ def decompress(blob: bytes, expected_size: int, probe: Probe | None = None) -> b
     bit_branches: list[bool] = []
     reads: list[int] = []
     while len(out) < expected_size:
-        if dec.decode_bit(flag_probs, 0):
-            length = _decode_number(dec, len_probs, 8)
-            dist = _decode_number(dec, dist_probs, 16)
+        # one token: the flag field, then a literal byte or a
+        # (length, distance) pair
+        values: list[int] = []
+        field: tuple | None = (flag_probs, 0, 1)
+        while field is not None:
+            probs, base, nbits = field
+            value = 0
+            for idx in range(base, base + nbits):
+                prob = probs[idx]
+                bound = (range_ >> 11) * prob
+                if code < bound:
+                    value <<= 1
+                    range_ = bound
+                    probs[idx] = prob + ((2048 - prob) >> 5)
+                else:
+                    value = (value << 1) | 1
+                    code -= bound
+                    range_ -= bound
+                    probs[idx] = prob - (prob >> 5)
+                while range_ < _TOP:
+                    nxt = blob[pos] if pos < n_blob else 0
+                    pos += 1
+                    code = ((code << 8) | nxt) & 0xFFFFFFFF
+                    range_ <<= 8
+            values.append(value)
+            if len(values) == 1 and value:
+                field = (len_probs, 0, 8)
+            elif len(values) == 1:
+                # literal context mirrors the encoder: top 3 bits of the
+                # previous (already decoded) byte
+                ctx = (out[-1] >> 5) if out else 0
+                field = (lit_probs, ctx * 8, 8)
+            elif len(values) == 2 and values[0]:
+                field = (dist_probs, 0, 16)
+            else:
+                field = None
+        if values[0]:
+            _, length, dist = values
             if dist <= 0 or dist > len(out) or length < _MIN_MATCH:
                 raise BenchmarkError("xz: corrupt stream (bad match)")
             start = len(out) - dist
@@ -342,14 +340,8 @@ def decompress(blob: bytes, expected_size: int, probe: Probe | None = None) -> b
                 reads.append(_WINDOW_REGION + ((start + i) & 0xFFFF))
             copy_branches.append(True)
         else:
-            # literal context mirrors the encoder: top 3 bits of the
-            # previous (already decoded) byte
-            ctx = (out[-1] >> 5) if out else 0
-            byte = 0
-            for i in range(8):
-                bit = dec.decode_bit(lit_probs, ctx * 8 + i)
-                byte = (byte << 1) | bit
-                bit_branches.append(bool(bit))
+            byte = values[1]
+            bit_branches.extend(_BYTE_BITS[byte])
             out.append(byte)
             copy_branches.append(False)
         if probe is not None and len(reads) >= 8192:

@@ -29,14 +29,10 @@ admit exact reformulations that vectorize:
   residue is large, so conflict-heavy streams (omnetpp's pointer webs,
   xalancbmk's DOM walks) stay vectorized end to end.
 
-* **Configs batch along an extra axis.**  Counter tables are
-  independent per slot and LRU sets are independent per set, so N
-  machine configs replaying the *same* event stream collapse into one
-  kernel invocation over a disjoint union of slot/set spaces:
-  :func:`counter_scan_batched` concatenates per-config tables,
-  :func:`lru_hits_batched` / :func:`lru_filter_batched` embed the
-  config index into composite set/line ids.  Each config's flags are
-  bit-identical to its own single-config call.
+* **Configs share one call.**  :func:`counter_scan_batched` replays N
+  machine configs' counter tables over the *same* outcome stream in one
+  call; each config's flags are bit-identical to its own
+  :func:`counter_scan`.
 
 Every function here is bit-exact against the scalar dict/bytearray
 implementations; ``tests/test_kernel.py`` fuzzes them against brute
@@ -54,8 +50,6 @@ __all__ = [
     "counter_scan",
     "gshare_history",
     "counter_scan_batched",
-    "lru_hits_batched",
-    "lru_filter_batched",
 ]
 
 # Below this block size, cross-counts are cheaper by broadcast compare
@@ -694,110 +688,6 @@ def counter_scan_batched(
     for i in range(c):
         miss[i] = counter_scan(idx_rows[i], taken, tables[i])
     return miss
-
-
-def _batch_ids(
-    tag_rows: "list[np.ndarray]", set_masks: "list[int]", assocs: "list[int]"
-):
-    """Composite (set, line, assoc) id streams for a config batch.
-
-    Embeds the config index into the low bits of set and line ids so
-    configs occupy disjoint id spaces; returns ``None`` when the
-    composite line id would overflow int64 (callers fall back to the
-    per-config loop).
-    """
-    c = len(tag_rows)
-    lens = np.array([t.size for t in tag_rows], dtype=np.int64)
-    t = np.concatenate(tag_rows) if tag_rows else np.zeros(0, dtype=np.int64)
-    if t.size and (int(t.min()) < 0 or int(t.max()) > (1 << 62) // c - 1):
-        return None
-    cfg = np.repeat(np.arange(c, dtype=np.int64), lens)
-    masks = np.asarray(set_masks, dtype=np.int64)[cfg]
-    gline = t * c + cfg
-    gset = (t & masks) * c + cfg
-    assoc_e = np.asarray(assocs, dtype=np.int64)[cfg]
-    return t, cfg, lens, gline, gset, assoc_e
-
-
-def _split_rows(flat: np.ndarray, lens: np.ndarray) -> "list[np.ndarray]":
-    bounds = np.zeros(lens.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=bounds[1:])
-    return [flat[bounds[i] : bounds[i + 1]] for i in range(lens.size)]
-
-
-def lru_hits_batched(
-    tag_rows: "list[np.ndarray]", set_masks: "list[int]", assocs: "list[int]"
-) -> "list[np.ndarray]":
-    """:func:`lru_hits` for N configs in one kernel invocation.
-
-    ``tag_rows[i]`` is config ``i``'s line-tag stream (streams may
-    differ in content and length — an L2 sees each config's own L1
-    misses), ``set_masks[i]``/``assocs[i]`` its geometry.  Sets are
-    independent under LRU and the composite ids keep configs in
-    disjoint sets, so any interleaving that preserves each config's
-    order — here config-major concatenation — replays all of them
-    exactly at once.  Returns per-config hit-flag arrays, each
-    bit-identical to its own :func:`lru_hits` call.
-    """
-    ids = _batch_ids(tag_rows, set_masks, assocs)
-    if ids is None:
-        return [
-            lru_hits(t, m, a) for t, m, a in zip(tag_rows, set_masks, assocs)
-        ]
-    _t, _cfg, lens, gline, gset, assoc_e = ids
-    return _split_rows(_lru_hits_core(gset, gline, assoc_e), lens)
-
-
-def lru_filter_batched(
-    tag_rows: "list[np.ndarray]", set_masks: "list[int]", assocs: "list[int]"
-) -> "list[np.ndarray]":
-    """:func:`lru_filter` for N configs in one pass.
-
-    The eviction-free fast path generalizes: first touches and per-set
-    distinct-line counts are computed once over the composite id
-    stream, and the conflict residue of *all* configs — each config's
-    conflicting sets carved as a subsequence — resolves in a single
-    :func:`_lru_hits_core` call.  Per-config results are bit-identical
-    to :func:`lru_filter`.
-    """
-    total = sum(t.size for t in tag_rows)
-    if len(tag_rows) == 1 or total < _FILTER_SCALAR_MAX:
-        return [
-            lru_filter(t, m, a) for t, m, a in zip(tag_rows, set_masks, assocs)
-        ]
-    ids = _batch_ids(tag_rows, set_masks, assocs)
-    if ids is None:
-        return [
-            lru_filter(t, m, a) for t, m, a in zip(tag_rows, set_masks, assocs)
-        ]
-    _t, _cfg, lens, gline, gset, assoc_e = ids
-    n = gline.size
-
-    order = _stable_order(gline)
-    st = gline[order]
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    head[1:] = st[1:] != st[:-1]
-    first = order[head]  # first touch of each distinct (config, line)
-
-    # distinct-line count per (config, set); the set id space is sparse,
-    # so group via unique rather than bincount.  Every event of one set
-    # belongs to one config, so any member's associativity represents
-    # the set — take the first occurrence's.
-    uset = gset[first]
-    us, us_idx, cnt = np.unique(uset, return_index=True, return_counts=True)
-    bad_us = cnt > assoc_e[first[us_idx]]
-
-    hits = np.ones(n, dtype=bool)
-    set_of_first = np.searchsorted(us, uset)
-    hits[first[~bad_us[set_of_first]]] = False
-    bad_e = bad_us[np.searchsorted(us, gset)]
-    conflict = np.flatnonzero(bad_e)
-    if conflict.size:
-        hits[conflict] = _lru_hits_core(
-            gset[conflict], gline[conflict], assoc_e[conflict]
-        )
-    return _split_rows(hits, lens)
 
 
 def gshare_history(taken: np.ndarray, history0: int, history_bits: int) -> np.ndarray:

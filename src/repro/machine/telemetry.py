@@ -23,7 +23,10 @@ The stream is stored **columnar**: four parallel ``array('q')`` columns
 The bulk recorders (:meth:`Probe.branches`, :meth:`Probe.accesses`)
 have vector fast paths that apply the decimation stride with NumPy
 slicing — one slice per stride segment instead of one Python call per
-event — and decimation itself is a column slice.  The sampled stream is
+event — and decimation itself is a column slice.  Batches of at most
+``_SMALL_BATCH`` events walk the same stride segments over
+``array('q')`` slices instead, where NumPy's set-up would cost more
+than the events.  The sampled stream is
 bit-identical to the historical scalar implementation (see
 ``tests/test_golden_equivalence.py``).
 
@@ -38,6 +41,7 @@ only comparable between runs with similar sampling strides.
 
 from __future__ import annotations
 
+import weakref
 import zlib
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
@@ -72,6 +76,10 @@ _CODE_REGION_BASE = 1 << 40
 
 #: Default cap on sampled events kept in the stream.
 _DEFAULT_EVENT_CAP = 262_144
+
+#: Bulk batches up to this many events skip NumPy: for a handful of
+#: outcomes the array set-up costs more than a pure-Python pass.
+_SMALL_BATCH = 64
 
 
 # --------------------------------------------------------------------------
@@ -313,6 +321,7 @@ class Probe:
         self._keep_every = 1
         self._tick = 0
         self._columns_cache: "tuple | None" = None
+        self._scopes: dict[str, _MethodScope] = {}
 
     # ---------------------------------------------------------------- methods
 
@@ -332,8 +341,16 @@ class Probe:
         return mc
 
     def method(self, name: str, code_bytes: int = 512) -> "_MethodScope":
-        """Context manager: attribute enclosed events to ``name``."""
-        return _MethodScope(self, self.register(name, code_bytes))
+        """Context manager: attribute enclosed events to ``name``.
+
+        The scope is stateless, so one instance per method name is
+        reused for every call, nested or not.
+        """
+        scope = self._scopes.get(name)
+        if scope is None:
+            scope = _MethodScope(self, self.register(name, code_bytes))
+            self._scopes[name] = scope
+        return scope
 
     @property
     def current(self) -> MethodCounters:
@@ -375,19 +392,17 @@ class Probe:
         if len(self._ev_kind) >= self._event_cap:
             self._decimate()
 
-    def _push_events_vector(self, kind: int, a: np.ndarray, b: np.ndarray) -> None:
-        """Append a batch of same-kind events, applying the decimation
-        stride with slices instead of per-event pushes.
+    def _survivors(self, n: int) -> "Iterator[tuple[int, int, int, int]]":
+        """Walk a batch of ``n`` same-kind events through the decimation
+        stride, one ``(first, stop, step, take)`` segment at a time.
 
-        ``a`` and ``b`` are int64 arrays of equal length.  Equivalent,
-        event for event, to calling ``_push_event`` in a loop: the tick
-        counter advances once per input event, survivors are the events
-        whose tick is a stride multiple, and hitting the cap mid-batch
-        halves the stored stream and doubles the stride for the rest of
-        the batch.
+        The caller appends ``batch[first:stop:step]`` (``take`` events)
+        to the columns before resuming.  Equivalent, event for event, to
+        calling ``_push_event`` in a loop: the tick counter advances once
+        per input event, survivors are the events whose tick is a stride
+        multiple, and hitting the cap mid-batch halves the stored stream
+        and doubles the stride for the rest of the batch.
         """
-        n = len(a)
-        midx = self._stack[-1].index
         pos = 0
         while pos < n:
             k = self._keep_every
@@ -399,19 +414,40 @@ class Probe:
                 self._tick = t + (n - pos)
                 return
             room = self._event_cap - len(self._ev_kind)
-            avail = (n - 1 - first) // k + 1
-            take = min(avail, room)
+            take = min((n - 1 - first) // k + 1, room)
             stop = first + (take - 1) * k + 1
-            sel_a = a[first:stop:k]
-            sel_b = b[first:stop:k]
-            self._ev_method.frombytes(np.full(take, midx, dtype=np.int64).tobytes())
-            self._ev_kind.frombytes(np.full(take, kind, dtype=np.int64).tobytes())
-            self._ev_a.frombytes(np.ascontiguousarray(sel_a).tobytes())
-            self._ev_b.frombytes(np.ascontiguousarray(sel_b).tobytes())
             self._tick = t + (stop - pos)
+            yield first, stop, k, take
             pos = stop
             if len(self._ev_kind) >= self._event_cap:
                 self._decimate()
+
+    def _push_events_vector(self, kind: int, a: np.ndarray, b: np.ndarray) -> None:
+        """Append a batch of same-kind events given as equal-length int64
+        arrays, applying the decimation stride with slices."""
+        midx = self._stack[-1].index
+        for first, stop, k, take in self._survivors(len(a)):
+            self._ev_method.frombytes(np.full(take, midx, dtype=np.int64).tobytes())
+            self._ev_kind.frombytes(np.full(take, kind, dtype=np.int64).tobytes())
+            self._ev_a.frombytes(np.ascontiguousarray(a[first:stop:k]).tobytes())
+            self._ev_b.frombytes(np.ascontiguousarray(b[first:stop:k]).tobytes())
+
+    def _push_events_small(self, kind: int, a: array, b: array) -> None:
+        """:meth:`_push_events_vector` for short ``array('q')`` batches,
+        without NumPy."""
+        n = len(a)
+        t = self._tick
+        if (-t - 1) % self._keep_every >= n:
+            # the common case at a large stride: no event survives
+            self._tick = t + n
+            return
+        midx = array("q", (self._stack[-1].index,))
+        kinds = array("q", (kind,))
+        for first, stop, k, take in self._survivors(n):
+            self._ev_method += midx * take
+            self._ev_kind += kinds * take
+            self._ev_a += a[first:stop:k]
+            self._ev_b += b[first:stop:k]
 
     def replace_events(
         self, events: "EventStream | Iterable[tuple[int, int, int, int]]"
@@ -476,14 +512,24 @@ class Probe:
 
         Vector fast path: the outcomes are materialized once, reduced
         with NumPy for the exact counters, and the sampled survivors
-        are appended by stride slicing.
+        are appended by stride slicing.  A short non-array batch skips
+        NumPy and takes each outcome's truthiness, as :meth:`branch`
+        does.
         """
         mc = self.current
         pc = mc.code_base + site * 16
         if isinstance(outcomes, np.ndarray):
             arr = outcomes
         else:
-            arr = np.asarray(list(outcomes))
+            outcomes = list(outcomes)
+            n = len(outcomes)
+            if n <= _SMALL_BATCH:
+                flags = array("q", [1 if t else 0 for t in outcomes])
+                self._push_events_small(EV_BRANCH, array("q", (pc,)) * n, flags)
+                mc.branches += n
+                mc.branches_taken += sum(flags)
+                return
+            arr = np.asarray(outcomes)
         if arr.dtype.kind not in "biuf":
             # exotic element types: preserve per-element truthiness
             arr = np.asarray([bool(t) for t in arr.tolist()])
@@ -511,10 +557,23 @@ class Probe:
         """Record a batch of data accesses (all loads or all stores).
 
         Vector fast path: the address batch becomes one int64 column
-        append with the decimation stride applied by slicing.
+        append with the decimation stride applied by slicing (an
+        ``array('q')`` append for a short batch of ints).
         """
         mc = self.current
         flag = 1 if store else 0
+        if len(addrs) <= _SMALL_BATCH and not isinstance(addrs, np.ndarray):
+            try:
+                small = array("q", addrs)
+            except (TypeError, OverflowError):
+                pass  # non-int addresses: NumPy's conversion decides below
+            else:
+                self._push_events_small(EV_DATA, small, array("q", (flag,)) * len(small))
+                if store:
+                    mc.stores += len(small)
+                else:
+                    mc.loads += len(small)
+                return
         try:
             arr = np.asarray(addrs, dtype=np.int64)
         except (TypeError, ValueError, OverflowError):
@@ -564,21 +623,26 @@ class Probe:
 
 
 class _MethodScope:
-    """Context manager pushing a method onto the probe's scope stack."""
+    """Context manager pushing a method onto the probe's scope stack.
+
+    The probe caches its scopes, so a scope refers to its probe weakly:
+    a strong reference would make a cycle that keeps a finished probe's
+    event columns alive until the cyclic garbage collector runs.
+    """
 
     __slots__ = ("_probe", "_mc")
 
     def __init__(self, probe: Probe, mc: MethodCounters):
-        self._probe = probe
+        self._probe = weakref.ref(probe)
         self._mc = mc
 
     def __enter__(self) -> MethodCounters:
         mc = self._mc
         mc.calls += 1
-        probe = self._probe
+        probe = self._probe()
         probe._stack.append(mc)
         probe._push_event(EV_CALL, mc.index, 0)
         return mc
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self._probe._stack.pop()
+        self._probe()._stack.pop()

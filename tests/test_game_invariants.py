@@ -61,6 +61,21 @@ class TestChessInvariants:
             count = new_count
 
     @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_pseudo_captures_are_the_captures_of_pseudo_moves(self, seed):
+        """The capture-only generator yields exactly the captures of the
+        full generator, in the same order (en passant included)."""
+        rng = random.Random(seed)
+        pos = Position.from_fen(START_FEN)
+        for _ in range(rng.randint(5, 60)):
+            assert pos.pseudo_captures() == [m for m in pos.pseudo_moves() if m[2] != 0]
+            moves = pos.legal_moves()
+            if not moves:
+                break
+            captures = [m for m in moves if m[2] != 0]
+            pos = pos.make_move(rng.choice(captures if captures and rng.random() < 0.5 else moves))
+
+    @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
     def test_hash_consistency(self, seed):
         """Incremental Zobrist hashing equals recomputation from scratch."""

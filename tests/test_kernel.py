@@ -24,9 +24,7 @@ from repro.machine.kernel import (
     gshare_history,
     left_rank,
     lru_filter,
-    lru_filter_batched,
     lru_hits,
-    lru_hits_batched,
 )
 
 
@@ -218,43 +216,7 @@ class TestCodeBursts:
 
 
 class TestBatchedKernels:
-    """Property: an N-config batched kernel call == N single-config calls.
-
-    Hypothesis drives the config count, per-config geometry/table
-    shapes, and stream character; a dedicated flag forces
-    conflict-heavy streams (distinct lines per set well above the
-    associativity) so the eviction/carve-out paths are exercised, not
-    just the first-touch fast path.
-    """
-
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_lru_batched_match_single_config_runs(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        n_cfg = data.draw(st.integers(1, 5))
-        conflict_heavy = data.draw(st.booleans())
-        rows, masks, assocs = [], [], []
-        for _ in range(n_cfg):
-            n = data.draw(st.integers(0, 700))
-            set_bits = data.draw(st.integers(0, 3))
-            assoc = data.draw(st.integers(1, 8))
-            capacity = (1 << set_bits) * assoc
-            if conflict_heavy:
-                span = data.draw(st.integers(capacity + 1, 4 * capacity + 4))
-            else:
-                span = data.draw(st.integers(1, 4 * capacity + 4))
-            rows.append(rng.integers(0, span, n).astype(np.int64))
-            masks.append((1 << set_bits) - 1)
-            assocs.append(assoc)
-        for batched, single in (
-            (lru_hits_batched, lru_hits),
-            (lru_filter_batched, lru_filter),
-        ):
-            got = batched([r.copy() for r in rows], masks, assocs)
-            assert len(got) == n_cfg
-            for i in range(n_cfg):
-                want = single(rows[i], masks[i], assocs[i])
-                assert np.array_equal(got[i], want), f"{single.__name__} cfg {i}"
+    """Property: an N-config batched kernel call == N single-config calls."""
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -277,29 +239,3 @@ class TestBatchedKernels:
             want = counter_scan(idx_rows[i], taken, tables_single[i])
             assert np.array_equal(miss[i], want), f"miss row {i}"
             assert np.array_equal(tables_batched[i], tables_single[i]), f"table {i}"
-
-    def test_lru_batched_overflow_guard_falls_back(self):
-        # composite line ids would overflow int64: the per-config
-        # fallback must produce the same (correct) answers
-        huge = np.array([1 << 61, (1 << 61) + 1, 1 << 61], dtype=np.int64)
-        small = np.array([0, 1, 0, 1, 2], dtype=np.int64)
-        got = lru_hits_batched([huge, small], [0, 1], [1, 1])
-        assert np.array_equal(got[0], lru_hits(huge, 0, 1))
-        assert np.array_equal(got[1], lru_hits(small, 1, 1))
-        got = lru_filter_batched([huge, small], [0, 1], [1, 1])
-        assert np.array_equal(got[0], lru_filter(huge, 0, 1))
-        assert np.array_equal(got[1], lru_filter(small, 1, 1))
-
-    def test_lru_batched_conflict_heavy_large_stream(self):
-        # above _FILTER_SCALAR_MAX with guaranteed evictions in every
-        # config: the batched carve-out path must engage and agree
-        rng = np.random.default_rng(11)
-        rows = [
-            (rng.integers(0, 64, 3000) * 4).astype(np.int64),  # set 0 thrashes
-            rng.integers(0, 24, 2500).astype(np.int64),  # 8 sets, 3 lines each
-        ]
-        masks = [3, 7]
-        assocs = [4, 2]
-        got = lru_filter_batched(rows, masks, assocs)
-        for i in range(2):
-            assert np.array_equal(got[i], lru_filter(rows[i], masks[i], assocs[i]))

@@ -6,13 +6,18 @@ event stream once it crosses a cap.  The cost model extrapolates
 rates must track the unsampled ones.
 """
 
+import math
 import random
+import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine.cost import CostModel
-from repro.machine.telemetry import Probe
+from repro.machine.telemetry import _SMALL_BATCH, Probe
 
 
 def _fill(probe: Probe, n_events: int, seed: int = 5) -> None:
@@ -92,9 +97,69 @@ def _streams_equal(a: Probe, b: Probe) -> bool:
     )
 
 
+_OUTCOME = st.one_of(
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 0.5, -2.0, math.nan, math.inf]),
+    st.booleans().map(np.bool_),
+)
+_OPS = st.one_of(
+    st.tuples(st.just("branches"), st.lists(_OUTCOME, max_size=2 * _SMALL_BATCH),
+              st.integers(0, 3), st.sampled_from(["list", "tuple", "gen"])),
+    st.tuples(st.just("accesses"), st.lists(st.integers(0, 1 << 40), max_size=2 * _SMALL_BATCH),
+              st.booleans()),
+    st.tuples(st.just("branch"), _OUTCOME, st.integers(0, 3)),
+    st.tuples(st.just("load"), st.integers(0, 1 << 40)),
+    st.tuples(st.just("store"), st.integers(0, 1 << 40)),
+    st.tuples(st.just("enter"), st.sampled_from(["outer", "inner", "leaf"])),
+    st.tuples(st.just("exit")),
+)
+
+
+def _drive(probe: Probe, prefill: int, ops, scalar_only: bool) -> None:
+    """Feed one op sequence to ``probe``; ``scalar_only`` records every
+    bulk call as per-event ``branch``/``load``/``store`` calls."""
+    scopes = [probe.method("root")]
+    scopes[0].__enter__()
+    for i in range(prefill):
+        probe.load(i * 64)
+    for op in ops:
+        kind = op[0]
+        if kind == "branches":
+            _, outcomes, site, shape = op
+            if scalar_only:
+                for t in outcomes:
+                    probe.branch(t, site=site)
+            elif shape == "gen":
+                probe.branches((t for t in outcomes), site=site)
+            else:
+                probe.branches(list(outcomes) if shape == "list" else tuple(outcomes),
+                               site=site)
+        elif kind == "accesses":
+            _, addrs, store = op
+            if not scalar_only:
+                probe.accesses(addrs, store=store)
+            else:
+                for a in addrs:
+                    (probe.store if store else probe.load)(a)
+        elif kind == "branch":
+            probe.branch(op[1], site=op[2])
+        elif kind in ("load", "store"):
+            getattr(probe, kind)(op[1])
+        elif kind == "enter":
+            scope = probe.method(op[1])
+            scope.__enter__()
+            scopes.append(scope)
+        elif len(scopes) > 1:
+            scopes.pop().__exit__(None, None, None)
+    while scopes:
+        scopes.pop().__exit__(None, None, None)
+
+
 class TestVectorDecimationEdges:
-    """The vector append path must be event-for-event identical to the
-    scalar one, including when the cap trips mid-call."""
+    """The vector append path — and the pure-Python path bulk calls of
+    at most ``_SMALL_BATCH`` events take — must be event-for-event
+    identical to the scalar one, including when the cap trips mid-call."""
 
     def test_cap_hit_mid_bulk_call(self):
         # one bulk call large enough to cross the cap several times
@@ -151,8 +216,45 @@ class TestVectorDecimationEdges:
         assert vec.sampling_stride == 1
         assert _streams_equal(vec, ref)
 
+    @given(prefill=st.integers(0, 1100), ops=st.lists(_OPS, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_bulk_calls_match_scalar_only_reference(self, prefill, ops):
+        bulk, ref = Probe(event_cap=1024), Probe(event_cap=1024)
+        _drive(bulk, prefill, ops, scalar_only=False)
+        _drive(ref, prefill, ops, scalar_only=True)
+        assert _streams_equal(bulk, ref)
+        assert bulk._tick == ref._tick
+        assert [asdict(m) for m in bulk.methods()] == [asdict(m) for m in ref.methods()]
+
+    def test_reused_method_scope_nests_and_reenters(self):
+        probe = Probe()
+        scope = probe.method("m")
+        assert probe.method("m") is scope
+        with scope:
+            with probe.method("m"):
+                probe.load(8)
+                assert probe.current.name == "m"
+            probe.load(16)
+        with scope:
+            probe.load(24)
+        with pytest.raises(RuntimeError):
+            _ = probe.current
+        [mc] = probe.methods()
+        assert mc.calls == 3 and mc.loads == 3
+        assert [e[1] for e in probe.events] == [2, 2, 1, 1, 2, 1]
+
 
 class TestProbeApi:
+    def test_finished_probe_is_freed_without_the_cycle_collector(self):
+        # cached method scopes must not keep a probe (and its event
+        # columns) alive through a reference cycle
+        probe = Probe()
+        with probe.method("m"):
+            probe.load(64)
+        ref = weakref.ref(probe)
+        del probe
+        assert ref() is None
+
     def test_events_view_is_read_only(self):
         probe = Probe()
         with probe.method("m"):

@@ -80,25 +80,27 @@ class TestBaselineParsing:
             load_baseline(path)
 
 
+@pytest.fixture()
+def recorded_measurement(measured, monkeypatch):
+    """Gate on the fixture's recorded measurement, not a fresh one.
+
+    The baselines are derived from ``measured``; re-measuring inside
+    the gate would compare two CPU-speed phases of the host, and a
+    host that swings ~1.8x can lift a 2x injected slowdown back above
+    the tolerance.  The real measurement path stays covered by the
+    ``measured`` fixture itself.
+    """
+    recorded = (
+        measured["workload"], measured["events"], measured["ns"], measured["eps"]
+    )
+    monkeypatch.setattr(
+        "repro.core.watchdog.measure_replay",
+        lambda benchmark_id, workload_name=None, *, rounds=3: recorded,
+    )
+
+
+@pytest.mark.usefixtures("recorded_measurement")
 class TestGate:
-    @pytest.fixture(autouse=True)
-    def recorded_measurement(self, measured, monkeypatch):
-        """Gate on the fixture's recorded measurement, not a fresh one.
-
-        The baselines are derived from ``measured``; re-measuring inside
-        the gate would compare two CPU-speed phases of the host, and a
-        host that swings ~1.8x can lift a 2x injected slowdown back
-        above the tolerance.  The real measurement path stays covered
-        by the ``measured`` fixture itself.
-        """
-        recorded = (
-            measured["workload"], measured["events"], measured["ns"], measured["eps"]
-        )
-        monkeypatch.setattr(
-            "repro.core.watchdog.measure_replay",
-            lambda benchmark_id, workload_name=None, *, rounds=3: recorded,
-        )
-
     def test_healthy_run_passes(self, baseline, monkeypatch):
         monkeypatch.delenv("REPRO_WATCHDOG_INJECT_SLOWDOWN", raising=False)
         report = run_watchdog(baseline, tolerance=0.5, rounds=2)
@@ -136,6 +138,7 @@ class TestGate:
 
 
 class TestCli:
+    @pytest.mark.usefixtures("recorded_measurement")
     def test_healthy_exit_0(self, baseline, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_WATCHDOG_INJECT_SLOWDOWN", raising=False)
         rc = main(
@@ -145,6 +148,7 @@ class TestCli:
         assert rc == EXIT_OK
         assert "within tolerance" in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("recorded_measurement")
     def test_regression_exit_1(self, strict_baseline, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_WATCHDOG_INJECT_SLOWDOWN", "2.0")
         rc = main(["watchdog", "--baseline", str(strict_baseline), "--rounds", "2"])
@@ -158,6 +162,7 @@ class TestCli:
         assert err.startswith("watchdog:")
         assert err.count("\n") == 1  # one-line diagnostic
 
+    @pytest.mark.usefixtures("recorded_measurement")
     def test_json_output(self, baseline, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_WATCHDOG_INJECT_SLOWDOWN", raising=False)
         rc = main(
@@ -171,6 +176,7 @@ class TestCli:
         assert check["regressed"] is False
         assert check["eps_ratio"] > 0
 
+    @pytest.mark.usefixtures("recorded_measurement")
     def test_ledger_baseline_mode(self, tmp_path, measured, capsys):
         from repro.core.ledger import RunLedger
         from tests.test_ledger import make_record
