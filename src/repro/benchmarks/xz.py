@@ -72,8 +72,9 @@ _BYTE_BITS = tuple(tuple(bool((b >> i) & 1) for i in range(7, -1, -1)) for b in 
 # The adaptive binary range coder (the LZMA entropy-coding stage) keeps
 # its state in locals of :func:`compress` / :func:`decompress`: its
 # per-bit step runs inline in their loops.  A coded token is a sequence
-# of fields ``(probs, base, nbits[, value])``: ``nbits`` bits, most
-# significant first, the i-th adapting ``probs[base + i]``.
+# of fields, each a run of bits coded most significant first, the i-th
+# adapting ``probs[base + i]``: the encoder's fields are ``(probs, base,
+# bits)``, the decoder's ``(probs, base, nbits)``.
 
 
 def _shift_low(low: int, cache: int, cache_size: int, out: bytearray) -> tuple[int, int, int]:
@@ -196,9 +197,10 @@ def compress(
 
         if best_len >= _MIN_MATCH:
             fields = (
-                (flag_probs, 0, 1, 1),
-                (len_probs, 0, 8, best_len),
-                (dist_probs, 0, 16, best_dist),
+                (flag_probs, 0, (True,)),
+                # fixed-width numbers: length 8 bits, distance 16 bits
+                (len_probs, 0, _BYTE_BITS[best_len & 0xFF]),
+                (dist_probs, 0, _BYTE_BITS[(best_dist >> 8) & 0xFF] + _BYTE_BITS[best_dist & 0xFF]),
             )
             n_matches += 1
             total_match_len += best_len
@@ -215,11 +217,12 @@ def compress(
             # literal context: top 3 bits of the previous byte (known to
             # the decoder as well, keeping the adaptive models in sync)
             ctx = (data[pos - 1] >> 5) if pos > 0 else 0
-            fields = ((flag_probs, 0, 1, 0), (lit_probs, ctx * 8, 8, byte))
+            bits = _BYTE_BITS[byte]
+            fields = ((flag_probs, 0, (False,)), (lit_probs, ctx * 8, bits))
             # the range coder branches on the bit value itself — a
             # data-dependent branch that is unpredictable exactly when
             # the content is incompressible
-            bit_branches.extend(_BYTE_BITS[byte])
+            bit_branches.extend(bits)
             n_literals += 1
             if pos + _MIN_MATCH <= n:
                 h = _hash3(pos)
@@ -227,12 +230,11 @@ def compress(
                 head[h] = pos
             pos += 1
 
-        for probs, base, shift, value in fields:
-            for idx in range(base, base + shift):
-                shift -= 1
+        for probs, base, field_bits in fields:
+            for idx, bit in enumerate(field_bits, base):
                 prob = probs[idx]
                 bound = (range_ >> 11) * prob
-                if (value >> shift) & 1:
+                if bit:
                     low += bound
                     range_ -= bound
                     probs[idx] = prob - (prob >> 5)

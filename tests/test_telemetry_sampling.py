@@ -137,11 +137,11 @@ def _drive(probe: Probe, prefill: int, ops, scalar_only: bool) -> None:
                                site=site)
         elif kind == "accesses":
             _, addrs, store = op
-            if not scalar_only:
-                probe.accesses(addrs, store=store)
-            else:
+            if scalar_only:
                 for a in addrs:
                     (probe.store if store else probe.load)(a)
+            else:
+                probe.accesses(addrs, store=store)
         elif kind == "branch":
             probe.branch(op[1], site=op[2])
         elif kind in ("load", "store"):
