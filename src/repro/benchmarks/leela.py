@@ -417,7 +417,11 @@ def _playout(
     size2 = board.size * board.size
     cells = board.cells
     nbrs = board._nbrs
-    randrange = rng.randrange
+    # rng.randrange(size2) draws getrandbits(size2.bit_length()) until
+    # the draw is below size2; drawing the bits directly skips its
+    # argument handling (the capture digests pin the draws)
+    getrandbits = rng.getrandbits
+    point_bits = size2.bit_length()
     is_legal = board.is_legal
     play = board.play
     while passes < 2 and steps < max_steps:
@@ -426,7 +430,9 @@ def _playout(
         # legality test is a data-dependent, effectively random branch
         move = None
         for _ in range(12):
-            p = randrange(size2)
+            p = getrandbits(point_bits)
+            while p >= size2:
+                p = getrandbits(point_bits)
             reads.append(pool_base + p * 4)
             # empty, not an eye of the mover (is_eyelike), and legal; an
             # empty neighbor settles legality as is_legal's fast path does
