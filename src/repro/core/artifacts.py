@@ -10,10 +10,11 @@ TelemetryCapture`, keyed by :func:`~repro.core.cache.capture_key`
 
 * a compact binary codec for captures (:func:`encode_capture` /
   :func:`decode_capture`) — JSON header for the per-method counters
-  and decimation state, zlib-compressed raw int64 column bytes with a
-  CRC for the event stream.  JSON would baloon the four event columns
-  (hundreds of thousands of int64s) roughly 5x and round-trip slowly;
-  raw little-endian column bytes restore with one ``frombuffer`` each;
+  and decimation state, the four event columns as zlib-compressed
+  narrow-width first differences, and a CRC over the whole entry.
+  JSON would balloon the columns (hundreds of thousands of int64s)
+  roughly 5x and round-trip slowly; the delta columns restore with one
+  ``frombuffer`` + ``cumsum`` each;
 * :class:`CaptureStore` — the on-disk store for encoded captures,
   with the same atomic-write and quarantine-on-corruption discipline
   as :class:`~repro.core.cache.ResultCache` (both are
@@ -38,7 +39,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -60,23 +61,52 @@ __all__ = [
     "ArtifactStore",
 ]
 
-#: Leading bytes of every encoded capture; rev with the layout.
-CAPTURE_MAGIC = b"RTC1"
+#: Leading bytes of every encoded capture; rev with the layout.  The
+#: tag is also folded into :func:`~repro.core.cache.capture_key`, so an
+#: entry written under another layout is a miss, never a decode.
+CAPTURE_MAGIC = b"RTC2"
+
+#: zlib level for the column payload.  Encoding sits on a cold run's
+#: critical path: over the 195 Table II captures level 6 shrinks the
+#: delta payload by another ~23% but takes ~3x as long as level 1.
+CAPTURE_ZLIB_LEVEL = 1
 
 _LEN_HEADER = struct.Struct("<II")  # header length, compressed payload length
+_CRC = struct.Struct("<I")
+_PREFIX = len(CAPTURE_MAGIC) + _LEN_HEADER.size
+#: Narrow column dtypes (little-endian), smallest first, by byte width.
+_WIDTHS = {w: np.dtype(f"<i{w}") for w in (1, 2, 4, 8)}
+#: Serialized counter fields; read directly, as ``asdict`` deep-copies.
+_METHOD_FIELDS = tuple(f.name for f in fields(MethodCounters))
+
+
+def _delta_column(column: np.ndarray) -> np.ndarray:
+    """First differences, narrowed to the smallest width holding them.
+
+    ``np.diff`` wraps in int64 and ``np.cumsum`` wraps back, so the
+    round trip is exact for every int64 column.
+    """
+    deltas = np.diff(np.asarray(column, dtype=np.int64), prepend=0)
+    lo, hi = (int(deltas.min()), int(deltas.max())) if len(deltas) else (0, 0)
+    for dtype in _WIDTHS.values():
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            break
+    return deltas.astype(dtype, copy=False)
 
 
 def encode_capture(capture: TelemetryCapture) -> bytes:
     """Serialize a capture to the compact binary artifact format.
 
     Layout: ``CAPTURE_MAGIC``, two little-endian u32 lengths (JSON
-    header, compressed payload), a u32 CRC-32 of the *uncompressed*
-    column bytes, the JSON header, then the zlib-compressed
-    concatenation of the four int64 event columns.  Everything the
-    decoder needs to reject a damaged entry is self-contained.
+    header, compressed payload), the JSON header, the zlib-compressed
+    payload, then a u32 CRC-32 over every byte before it.  The payload
+    concatenates the four event columns, each stored as its first
+    differences in the narrowest of int8/16/32/64 that holds them; the
+    header records each column's byte width.  Everything the decoder
+    needs to reject a damaged entry is self-contained.
     """
-    cols = [np.ascontiguousarray(c, dtype=np.int64) for c in capture.columns]
-    raw = b"".join(c.tobytes() for c in cols)
+    deltas = [_delta_column(c) for c in capture.columns]
     header = json.dumps(
         {
             "format": CACHE_FORMAT,
@@ -86,75 +116,72 @@ def encode_capture(capture: TelemetryCapture) -> bytes:
             "sampling_stride": capture.sampling_stride,
             "event_cap": capture.event_cap,
             "tick": capture.tick,
-            "events": int(len(cols[0])),
-            "methods": [asdict(mc) for mc in capture.methods],
+            "events": int(len(deltas[0])),
+            "widths": [d.itemsize for d in deltas],
+            "methods": [
+                {f: getattr(mc, f) for f in _METHOD_FIELDS} for mc in capture.methods
+            ],
         },
         separators=(",", ":"),
     ).encode()
-    payload = zlib.compress(raw, 6)
-    return (
-        CAPTURE_MAGIC
-        + _LEN_HEADER.pack(len(header), len(payload))
-        + struct.pack("<I", zlib.crc32(raw))
-        + header
-        + payload
-    )
+    packer = zlib.compressobj(CAPTURE_ZLIB_LEVEL)
+    payload = b"".join([packer.compress(d) for d in deltas] + [packer.flush()])
+    body = CAPTURE_MAGIC + _LEN_HEADER.pack(len(header), len(payload)) + header + payload
+    return body + _CRC.pack(zlib.crc32(body))
 
 
 def decode_capture(blob: bytes) -> TelemetryCapture:
     """Reconstruct a capture; raises :class:`CacheCorruption` on damage.
 
-    Every structural check — magic, declared lengths, format version,
-    CRC over the decompressed columns, column count consistency — maps
-    to the same exception so stores can quarantine uniformly.
+    Every structural check — magic, declared lengths, the CRC over
+    header and payload, format version, column widths and byte counts —
+    maps to the same exception so stores can quarantine uniformly.
     """
     if blob[: len(CAPTURE_MAGIC)] != CAPTURE_MAGIC:
         raise CacheCorruption("capture artifact: bad magic")
-    offset = len(CAPTURE_MAGIC)
     try:
-        header_len, payload_len = _LEN_HEADER.unpack_from(blob, offset)
-        offset += _LEN_HEADER.size
-        (crc,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        header = json.loads(blob[offset : offset + header_len])
-        payload = blob[offset + header_len : offset + header_len + payload_len]
-        if len(payload) != payload_len:
-            raise CacheCorruption("capture artifact: truncated payload")
-        raw = zlib.decompress(payload)
-    except CacheCorruption:
-        raise
-    except (struct.error, ValueError, zlib.error) as exc:
-        raise CacheCorruption(f"capture artifact: undecodable ({exc})") from exc
-    if header.get("format") != CACHE_FORMAT:
+        header_len, payload_len = _LEN_HEADER.unpack_from(blob, len(CAPTURE_MAGIC))
+    except struct.error as exc:
+        raise CacheCorruption("capture artifact: truncated prefix") from exc
+    end = _PREFIX + header_len + payload_len
+    if len(blob) != end + _CRC.size:
         raise CacheCorruption(
-            f"capture artifact: unsupported format {header.get('format')!r}"
+            f"capture artifact: expected {end + _CRC.size} bytes, got {len(blob)}"
         )
-    if zlib.crc32(raw) != crc:
+    body = memoryview(blob)[:end]
+    if zlib.crc32(body) != _CRC.unpack_from(blob, end)[0]:
         raise CacheCorruption("capture artifact: CRC mismatch")
-    n = header["events"]
-    if len(raw) != 4 * 8 * n:
-        raise CacheCorruption(
-            f"capture artifact: expected {4 * 8 * n} column bytes, got {len(raw)}"
-        )
-    width = 8 * n
-    columns = tuple(
-        np.frombuffer(raw[i * width : (i + 1) * width], dtype=np.int64).copy()
-        for i in range(4)
-    )
     try:
-        methods = tuple(MethodCounters(**mc) for mc in header["methods"])
+        header = json.loads(body[_PREFIX : _PREFIX + header_len].tobytes())
+        raw = zlib.decompress(body[_PREFIX + header_len :])
+        if header.get("format") != CACHE_FORMAT:
+            raise CacheCorruption(
+                f"capture artifact: unsupported format {header.get('format')!r}"
+            )
+        n = header["events"]
+        dtypes = [_WIDTHS[w] for w in header["widths"]]
+        if len(dtypes) != 4 or len(raw) != n * sum(d.itemsize for d in dtypes):
+            raise CacheCorruption("capture artifact: column bytes disagree with header")
+        columns = []
+        offset = 0
+        for dtype in dtypes:
+            deltas = np.frombuffer(raw, dtype=dtype, count=n, offset=offset)
+            columns.append(np.cumsum(deltas, dtype=np.int64))
+            offset += n * dtype.itemsize
         return TelemetryCapture(
             benchmark=header["benchmark"],
             workload=header["workload"],
-            methods=methods,
-            columns=columns,  # type: ignore[arg-type]
+            methods=tuple(MethodCounters(**mc) for mc in header["methods"]),
+            columns=tuple(columns),  # type: ignore[arg-type]
             sampling_stride=header["sampling_stride"],
             event_cap=header["event_cap"],
             tick=header["tick"],
             verified=header["verified"],
         )
-    except (KeyError, TypeError) as exc:
-        raise CacheCorruption(f"capture artifact: bad header ({exc})") from exc
+    except CacheCorruption:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError, zlib.error) as exc:
+        raise CacheCorruption(f"capture artifact: undecodable ({exc})") from exc
 
 
 class CaptureStore(EntryStore):

@@ -258,16 +258,21 @@ def capture_key(benchmark_id: str, workload: Workload | WorkloadRef) -> str:
     Deliberately *machine-independent*: the capture stage records what
     the benchmark did, not how a machine would execute it, so the key
     covers only the benchmark id, the workload content, the artifact
-    format, and the repro version — plus, like :func:`cache_key`, any
-    non-baseline registry descriptor tokens.  Every machine config (and
-    every FDO build) replays the same capture.
+    format, the capture codec tag
+    (:data:`~repro.core.artifacts.CAPTURE_MAGIC`), and the repro
+    version — plus, like :func:`cache_key`, any non-baseline registry
+    descriptor tokens.  Every machine config (and every FDO build)
+    replays the same capture.  The codec tag retires entries written
+    under an older layout as plain misses.
     """
     from .. import __version__
+    from .artifacts import CAPTURE_MAGIC
 
     ident: dict[str, Any] = {
         "format": CACHE_FORMAT,
         "version": __version__,
         "stage": "capture",
+        "codec": CAPTURE_MAGIC.decode("ascii"),
         "benchmark": benchmark_id,
         "workload": workload_fingerprint(workload),
     }

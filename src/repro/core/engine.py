@@ -74,7 +74,7 @@ from dataclasses import dataclass, replace
 from fnmatch import fnmatch
 from itertools import zip_longest
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..machine.capture import (
     TelemetryCapture,
@@ -599,8 +599,9 @@ class CharacterizationEngine:
         # exact object the caller handed in (their .stats keep working).
         self.cache = self.store.profiles if self.store is not None else None
         #: In-process capture reuse for the stage-level APIs (capture_run,
-        #: characterize_sweep_run); run_cells stays memo-free so suite
-        #: runs don't pin every telemetry stream in memory.
+        #: characterize_sweep_run) of a store-less engine.  With a store
+        #: attached the capture store is the memo, and run_cells never
+        #: memoizes, so no run pins every telemetry stream in memory.
         self._capture_memo: dict[str, TelemetryCapture] = {}
         #: FDO build digests replayed through this engine (name → digest);
         #: the run ledger records them so a build sweep is diffable.
@@ -631,7 +632,9 @@ class CharacterizationEngine:
         cells missing both artifacts execute the benchmark.  Executed
         cells capture *and* replay in the worker (one process
         round-trip, replay stays parallel) and ship the capture back
-        for persistence when a store is attached.
+        for persistence when a store is attached: each capture is
+        written the moment its cell finishes and then dropped, so at
+        most one executed cell's telemetry stream is held at a time.
 
         Never raises for per-cell failures — inspect ``outcome.ok``.
         Cache lookups and stores happen in the parent process only;
@@ -668,7 +671,16 @@ class CharacterizationEngine:
 
         if to_run:
             mode = "both" if self.store is not None else "replay"
-            self._execute(cells, to_run, outcomes, cache_state, mode)
+
+            def persist(i: int, result: tuple) -> tuple:
+                profile, capture, meta = result
+                if capture is not None:
+                    self.store.captures.put(
+                        capture_key(cells[i].benchmark_id, workloads[i]), capture
+                    )
+                return profile, None, meta
+
+            self._execute(cells, to_run, outcomes, cache_state, mode, persist)
             for i in to_run:
                 oc = outcomes[i]
                 if oc is None:
@@ -676,7 +688,7 @@ class CharacterizationEngine:
                 if not oc.ok:
                     outcomes[i] = replace(oc, capture="run")
                     continue
-                profile, capture, meta = oc.profile
+                profile, _, meta = oc.profile
                 if meta.get("stacks"):
                     merge_stacks(self.stack_counts, meta["stacks"])
                 outcomes[i] = replace(
@@ -684,11 +696,6 @@ class CharacterizationEngine:
                     stages=tuple(tuple(s) for s in meta["stages"]),
                 )
                 if keys[i] is not None:
-                    if capture is not None:
-                        self.store.captures.put(
-                            capture_key(cells[i].benchmark_id, workloads[i]),
-                            capture,
-                        )
                     self.cache.put(keys[i], profile)
 
         for i, capture in replays:
@@ -825,20 +832,23 @@ class CharacterizationEngine:
         pending: list[int],
         outcomes: list[CellOutcome | None],
         cache_state: str,
-        mode: str = "replay",
+        mode: str,
+        persist: "Callable[[int, tuple], tuple]",
     ) -> None:
         """Run the cache-missed cells, inline or pooled.
 
-        ``mode`` is forwarded to :func:`_run_cell`; successful outcomes
-        carry the raw worker ``(profile, capture)`` tuple in their
-        ``profile`` slot — callers unpack and re-tag with the stage
-        states they observed.
+        ``mode`` is forwarded to :func:`_run_cell`.  Each successful
+        worker result ``(profile, capture, meta)`` is handed to
+        ``persist(i, result)`` the moment cell ``i`` finishes; what it
+        returns lands in the outcome's ``profile`` slot, so a caller
+        that stores the capture can drop it there.  Callers unpack that
+        tuple and re-tag with the stage states they observed.
         """
         inline = self.timeout is None and (self.workers == 1 or len(pending) == 1)
         if inline:
-            self._execute_inline(cells, pending, outcomes, cache_state, mode)
+            self._execute_inline(cells, pending, outcomes, cache_state, mode, persist)
         else:
-            self._execute_pool(cells, pending, outcomes, cache_state, mode)
+            self._execute_pool(cells, pending, outcomes, cache_state, mode, persist)
 
     def _execute_inline(
         self,
@@ -847,6 +857,7 @@ class CharacterizationEngine:
         outcomes: list[CellOutcome | None],
         cache_state: str,
         mode: str,
+        persist: "Callable[[int, tuple], tuple]",
     ) -> None:
         for i in pending:
             cell = cells[i]
@@ -869,6 +880,7 @@ class CharacterizationEngine:
                 else:
                     # Inline cells recorded through this process's own
                     # collector stack already; no snapshot merge needed.
+                    result = persist(i, result)
                     outcomes[i] = CellOutcome(
                         cell, result, cache_state, attempts,
                         time.perf_counter() - started, "ok",
@@ -883,6 +895,7 @@ class CharacterizationEngine:
         outcomes: list[CellOutcome | None],
         cache_state: str,
         mode: str,
+        persist: "Callable[[int, tuple], tuple]",
     ) -> None:
         """Pool execution with per-cell timeout, retry, and pool recovery.
 
@@ -900,6 +913,9 @@ class CharacterizationEngine:
         each surviving cell runs alone in a single-worker pool, where a
         crash implicates exactly that cell, so innocents always
         complete and only genuinely crashing cells fail.
+
+        Each future is dropped as soon as it is read, so a harvested
+        result is held only through ``persist``'s return value.
         """
         remaining: dict[int, int] = {i: 0 for i in pending}  # index -> attempts
         first_seen: dict[int, float] = {}
@@ -944,7 +960,7 @@ class CharacterizationEngine:
             for i in order:
                 if i not in remaining or i not in futures:
                     continue
-                fut = futures[i]
+                fut = futures.pop(i)
                 if abandon and not fut.done():
                     remaining[i] -= 1  # refund: goes back on the queue
                     continue
@@ -969,7 +985,8 @@ class CharacterizationEngine:
                 except Exception as exc:
                     fail_or_requeue(i, "failed", f"{type(exc).__name__}: {exc}")
                 else:
-                    finalize(i, result, "ok", None)
+                    finalize(i, persist(i, result), "ok", None)
+                    del result  # not held while the next future is awaited
 
             if abandon:
                 pool.shutdown(wait=False, cancel_futures=True)
@@ -983,7 +1000,9 @@ class CharacterizationEngine:
                 self._backoff_sleep(round_no)
 
         if remaining:
-            self._execute_isolated(cells, remaining, outcomes, cache_state, first_seen, mode)
+            self._execute_isolated(
+                cells, remaining, outcomes, cache_state, first_seen, mode, persist
+            )
 
     def _execute_isolated(
         self,
@@ -993,6 +1012,7 @@ class CharacterizationEngine:
         cache_state: str,
         first_seen: dict[int, float],
         mode: str,
+        persist: "Callable[[int, tuple], tuple]",
     ) -> None:
         """Run each surviving cell alone in a one-worker pool.
 
@@ -1036,7 +1056,7 @@ class CharacterizationEngine:
                 if result is not None:
                     metrics.merge_snapshot(result[2]["metrics"])
                     outcomes[i] = CellOutcome(
-                        cell, result, cache_state, attempt,
+                        cell, persist(i, result), cache_state, attempt,
                         time.perf_counter() - first_seen[i], "ok",
                         start_s=self.trace.rel(first_seen[i]),
                     )
@@ -1076,15 +1096,17 @@ class CharacterizationEngine:
     def _capture_batch(
         self, cells: list[_Cell], workloads: list[Workload]
     ) -> list[tuple[TelemetryCapture | None, str, CellOutcome | None]]:
-        """Resolve the capture stage for every cell: memo → store → run.
+        """Resolve the capture stage for every cell: store or memo → run.
 
         Returns one ``(capture, state, run_outcome)`` triple per cell:
-        ``state`` is ``"hit"`` (in-process memo or capture store) or
-        ``"run"`` (the benchmark executed — successfully or not);
-        ``run_outcome`` carries attempts/duration/error for ``"run"``
-        entries and is ``None`` for hits.  Emits no spans — callers
-        decide how capture cost is attributed (a sweep charges it to
-        the first consuming cell).
+        ``state`` is ``"hit"`` (capture store, or the in-process memo of
+        a store-less engine) or ``"run"`` (the benchmark executed —
+        successfully or not); ``run_outcome`` carries
+        attempts/duration/error for ``"run"`` entries and is ``None``
+        for hits.  A fresh capture is written to the store as soon as
+        its cell finishes; only a store-less engine memoizes it.  Emits
+        no spans — callers decide how capture cost is attributed (a
+        sweep charges it to the first consuming cell).
         """
         results: list[Any] = [None] * len(cells)
         cap_keys = [
@@ -1092,18 +1114,25 @@ class CharacterizationEngine:
         ]
         to_run: list[int] = []
         for i, key in enumerate(cap_keys):
-            capture = self._capture_memo.get(key)
-            if capture is None and self.store is not None:
+            if self.store is not None:
                 capture = self.store.captures.get(key)
-                if capture is not None:
-                    self._capture_memo[key] = capture
+            else:
+                capture = self._capture_memo.get(key)
             if capture is not None:
                 results[i] = (capture, "hit", None)
             else:
                 to_run.append(i)
         if to_run:
+
+            def persist(i: int, result: tuple) -> tuple:
+                if self.store is not None:
+                    self.store.captures.put(cap_keys[i], result[1])
+                else:
+                    self._capture_memo[cap_keys[i]] = result[1]
+                return result
+
             scratch: list[CellOutcome | None] = [None] * len(cells)
-            self._execute(cells, to_run, scratch, "-", "capture")
+            self._execute(cells, to_run, scratch, "-", "capture", persist)
             for i in to_run:
                 oc = scratch[i]
                 if oc is None:  # pragma: no cover - _execute always fills
@@ -1121,9 +1150,6 @@ class CharacterizationEngine:
                             stages=tuple(tuple(s) for s in meta["stages"]),
                         ),
                     )
-                    self._capture_memo[cap_keys[i]] = capture
-                    if self.store is not None:
-                        self.store.captures.put(cap_keys[i], capture)
                 else:
                     results[i] = (None, "run", oc)
         return results
@@ -1135,8 +1161,8 @@ class CharacterizationEngine:
 
         Successful outcomes hold the
         :class:`~repro.machine.capture.TelemetryCapture` in their
-        ``profile`` slot.  Captures are memoized in-process and
-        persisted to the capture store when one is attached, so
+        ``profile`` slot.  Captures are persisted to the capture store
+        when one is attached and memoized in-process otherwise, so
         repeated stage-level consumers (the studies) never re-execute
         a benchmark.  Under ``strict=True`` the first failed cell
         raises its :class:`CellFailure` after all spans are journaled.

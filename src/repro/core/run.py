@@ -342,7 +342,7 @@ class Session:
 
         One engine pass — parallel across cache-missed workloads — and
         one capture per workload however many times it is re-requested
-        (in-process memo + capture store).
+        (the capture store, or an in-process memo without one).
         """
         with self._collect():
             alberta = workloads is None
