@@ -144,9 +144,9 @@ def test_replay_throughput():
     """Best-of-N vectorized replay vs the frozen scalar reference.
 
     Writes ``BENCH_machine.json`` with per-benchmark cell seconds and
-    events/sec.  Replay timings come from the ``engine.profile.*``
-    counters the cost model records around every ``evaluate`` call,
-    so the JSON measures exactly what ``repro --verbose`` reports.
+    events/sec.  Each round times one ``CostModel.evaluate`` call with
+    ``perf_counter_ns``, the same way the legacy replay is timed; the
+    event count is the probe's sampled stream length.
 
     Set ``REPRO_BENCH_FULL=1`` to sweep every registered benchmark
     (the configuration the >=3x aggregate target is asserted on);
@@ -158,7 +158,6 @@ def test_replay_throughput():
         import _legacy_machine as legacy
 
     from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
-    from repro.machine import telemetry
     from repro.machine.cost import CostModel, MachineConfig as Config
     from repro.machine.telemetry import Probe
 
@@ -182,17 +181,12 @@ def test_replay_throughput():
         # Interleave vectorized and legacy rounds so both best-of
         # samples see the same machine conditions — separate phases let
         # a frequency drift between them land straight in the ratio.
-        best_ns = events = legacy_ns = None
+        events = len(probe.events)
+        best_ns = legacy_ns = None
         for _ in range(_REPLAY_ROUNDS):
-            before = dict(telemetry.counters("engine.profile"))
+            t0 = time.perf_counter_ns()
             model.evaluate(probe)
-            after = telemetry.counters("engine.profile")
-            ns = after["engine.profile.replay_ns"] - before.get(
-                "engine.profile.replay_ns", 0
-            )
-            events = after["engine.profile.replay_events"] - before.get(
-                "engine.profile.replay_events", 0
-            )
+            ns = time.perf_counter_ns() - t0
             best_ns = ns if best_ns is None else min(best_ns, ns)
             t0 = time.perf_counter_ns()
             legacy.legacy_evaluate(legacy_probe, Config())

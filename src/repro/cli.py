@@ -71,7 +71,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--verbose",
         action="store_true",
-        help="print a replay-throughput summary after the run (needs --workers 1)",
+        help="print a replay-throughput summary after the run",
     )
 
 
@@ -500,35 +500,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _replay_counters() -> dict:
-    from .machine import telemetry
+def _registry_totals() -> dict:
+    """The global metrics registry summed over benchmarks and workers.
 
-    return dict(telemetry.counters("engine.profile"))
-
-
-def _print_replay_summary(args: argparse.Namespace, before: dict) -> None:
-    """One-line replay-throughput summary from ``engine.profile.*`` deltas.
-
-    Counters are process-wide, so the numbers are only meaningful when
-    the characterizations ran in this process (``--workers 1``).
+    Keyed ``(family, ("label=value", ...))`` as
+    :func:`~repro.core.metrics._aggregate_table` groups it; a histogram
+    maps to its observation count.  Pool workers' snapshots are merged
+    into the global registry, so the totals hold for any ``--workers``.
     """
-    if args.workers != 1:
-        print(
-            "verbose: replay summary needs --workers 1 "
-            "(worker processes keep their own counters)",
-            file=sys.stderr,
-        )
-        return
-    after = _replay_counters()
+    from .core import metrics
 
-    def delta(name: str) -> int:
-        key = f"engine.profile.{name}"
-        return after.get(key, 0) - before.get(key, 0)
+    hists, scalars, _ = metrics._aggregate_table(metrics.global_registry())
+    return {**scalars, **{key: h.count for key, h in hists.items()}}
 
-    events = delta("replay_events")
-    ns = delta("replay_ns")
-    evals = delta("evaluations")
-    stride = after.get("engine.profile.replay_stride_max", 0)
+
+def _delta(before: dict, after: dict, spec, *group: str) -> int:
+    """How much one aggregated series of :func:`_registry_totals` grew."""
+    key = (spec.name, group)
+    return after.get(key, 0) - before.get(key, 0)
+
+
+def _print_replay_summary(before: dict) -> None:
+    """One-line replay-throughput summary from metrics-registry deltas."""
+    from .core import metrics
+
+    after = _registry_totals()
+    events = _delta(before, after, metrics.REPLAY_EVENTS_TOTAL)
+    ns = _delta(before, after, metrics.REPLAY_NS_TOTAL)
+    evals = _delta(before, after, metrics.STAGE_SECONDS, "stage=replay")
+    stride = after.get((metrics.SAMPLING_STRIDE_MAX.name, ()), 0)
     rate = events / (ns / 1e9) if ns else 0.0
     print(
         f"replay: {events} events over {evals} evaluations, "
@@ -543,9 +543,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if getattr(args, "verbose", False):
-            before = _replay_counters()
+            before = _registry_totals()
             status = _dispatch(args)
-            _print_replay_summary(args, before)
+            _print_replay_summary(before)
             return status
         return _dispatch(args)
     except UnknownScenarioError as exc:
@@ -565,12 +565,13 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table2":
         from .analysis.sensitivity import sensitivity_report
         from .analysis.tables import render_table2
+        from .core import metrics
         from .core.characterize import characterize
         from .core.registry import benchmark_ids
-        from .machine import telemetry
 
         kwargs = _engine_kwargs(args)
         ids = args.benchmarks or sorted(benchmark_ids(table2_only=True))
+        before = _registry_totals()
         chars = []
         for bid in ids:
             print(f"characterizing {bid} ...", file=sys.stderr)
@@ -578,13 +579,20 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(render_table2(chars))
         print()
         print(sensitivity_report(chars))
-        stats = telemetry.counters("engine.cache")
-        if stats:
+        after = _registry_totals()
+        hits, misses, read, written = (
+            _delta(before, after, spec, "store=profile", label)
+            for spec, label in (
+                (metrics.CACHE_EVENTS_TOTAL, "event=hit"),
+                (metrics.CACHE_EVENTS_TOTAL, "event=miss"),
+                (metrics.CACHE_IO_BYTES_TOTAL, "direction=read"),
+                (metrics.CACHE_IO_BYTES_TOTAL, "direction=write"),
+            )
+        )
+        if hits or misses or read or written:
             print(
-                f"cache: {stats.get('engine.cache.hits', 0)} hits, "
-                f"{stats.get('engine.cache.misses', 0)} misses, "
-                f"{stats.get('engine.cache.bytes_read', 0)} B read, "
-                f"{stats.get('engine.cache.bytes_written', 0)} B written",
+                f"cache: {hits} hits, {misses} misses, "
+                f"{read} B read, {written} B written",
                 file=sys.stderr,
             )
         return 0

@@ -29,9 +29,9 @@ TelemetryCapture`, keyed by :func:`~repro.core.cache.capture_key`
   per workload, shared by every machine/build that replays it) and
   ``sets`` (the workload-set index).
 
-Capture traffic is mirrored under ``engine.artifacts.capture.*`` and
-index traffic under ``engine.artifacts.sets.*`` (never
-``engine.cache.*``, which remains exclusively profile-store traffic).
+Capture traffic lands on the cache metric families with
+``store="capture"`` and index traffic with ``store="sets"``
+(``store="profile"`` remains exclusively profile-store traffic).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from . import metrics
-from ..machine import telemetry
 from ..machine.capture import TelemetryCapture
 from ..machine.telemetry import MethodCounters
 from .cache import CACHE_FORMAT, EntryStore, ResultCache, payload_digest
@@ -191,12 +190,12 @@ class CaptureStore(EntryStore):
     write, quarantine (rename to ``*.bin.corrupt``) plus miss on an
     undecodable read — for ``.bin`` entries at
     ``<root>/<key[:2]>/<key>.bin``.  Traffic is counted per instance in
-    :attr:`stats` and process-wide under ``engine.artifacts.capture.*``.
+    :attr:`stats` and on the cache metric families with
+    ``store="capture"``.
     """
 
     suffix = ".bin"
     label = "capture"
-    counter_prefix = "engine.artifacts.capture"
 
     def get(self, key: str) -> TelemetryCapture | None:
         """Look up a capture; a miss or corrupt entry returns None."""
@@ -229,13 +228,11 @@ class SetIndex(EntryStore):
     so a truncated, bit-flipped, foreign, reordered or shortened entry
     fails to decode and is quarantined like any other corrupt artifact —
     it can never serve a wrong fingerprint.  Traffic lands on the cache
-    metric families with ``store="sets"`` and under
-    ``engine.artifacts.sets.*``; :attr:`stale` counts entries a fresh
-    mint found out of date and replaced.
+    metric families with ``store="sets"``; :attr:`stale` counts entries
+    a fresh mint found out of date and replaced.
     """
 
     label = "sets"
-    counter_prefix = "engine.artifacts.sets"
 
     def __init__(self, root: str | Path):
         super().__init__(root)
@@ -284,7 +281,6 @@ class SetIndex(EntryStore):
     ) -> None:
         """Overwrite an entry a fresh mint disagrees with, and count it."""
         self.stale += 1
-        telemetry.record(f"{self.counter_prefix}.stale")
         metrics.inc(metrics.CACHE_EVENTS_TOTAL, store=self.label, event="stale")
         self.put(key, benchmark_id, base_seed, fingerprints)
 

@@ -18,8 +18,9 @@ output, which the summaries never read) as JSON under
 (``repr`` is shortest-round-trip), so a cached profile reconstructs the
 summaries bit-identically.
 
-Cache traffic (hits / misses / bytes) is mirrored into the process-wide
-counters of :mod:`repro.machine.telemetry` under ``engine.cache.*`` so
+Cache traffic (hits / misses / bytes) is counted in the metrics
+registry (:mod:`repro.core.metrics`) as ``repro_cache_events_total`` and
+``repro_cache_io_bytes_total`` labelled ``store="profile"``, so
 operational tooling can observe it without holding the cache object.
 """
 
@@ -35,7 +36,6 @@ from pathlib import Path
 from typing import Any
 
 from . import metrics
-from ..machine import telemetry
 from ..machine.cache import HierarchyStats
 from ..machine.cost import MachineConfig, MachineReport, MethodCost
 from ..machine.profiler import ExecutionProfile
@@ -396,15 +396,13 @@ class EntryStore:
     counted, and reported as a miss so the artifact is simply rebuilt
     instead of crashing the run.
 
-    Subclasses set :attr:`suffix`, the ``store`` label of the cache
-    metric families (:attr:`label`) and the dotted telemetry prefix
-    their traffic is mirrored under (:attr:`counter_prefix`); they
-    decode in :meth:`_load` and encode before :meth:`_store`.
+    Subclasses set :attr:`suffix` and the ``store`` label of the cache
+    metric families (:attr:`label`); they decode in :meth:`_load` and
+    encode before :meth:`_store`.
     """
 
     suffix = ".json"
     label = "profile"
-    counter_prefix = "engine.cache"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -432,15 +430,12 @@ class EntryStore:
             return None
         self.stats.hits += 1
         self.stats.bytes_read += len(raw)
-        telemetry.record(f"{self.counter_prefix}.hits")
-        telemetry.record(f"{self.counter_prefix}.bytes_read", len(raw))
         self._observe_lookup("hit", started)
         metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store=self.label, direction="read")
         return value
 
     def _miss(self, started: float) -> None:
         self.stats.misses += 1
-        telemetry.record(f"{self.counter_prefix}.misses")
         self._observe_lookup("miss", started)
 
     def _observe_lookup(self, result: str, started: float) -> None:
@@ -459,7 +454,6 @@ class EntryStore:
         except OSError:  # pragma: no cover - racing unlink/permissions
             pass
         self.stats.quarantined += 1
-        telemetry.record(f"{self.counter_prefix}.quarantined")
         metrics.inc(metrics.CACHE_EVENTS_TOTAL, store=self.label, event="quarantined")
 
     def _store(self, key: str, raw: bytes) -> None:
@@ -470,7 +464,6 @@ class EntryStore:
         tmp.write_bytes(raw)
         os.replace(tmp, path)
         self.stats.bytes_written += len(raw)
-        telemetry.record(f"{self.counter_prefix}.bytes_written", len(raw))
         metrics.inc(metrics.CACHE_EVENTS_TOTAL, store=self.label, event="write")
         metrics.inc(metrics.CACHE_IO_BYTES_TOTAL, len(raw), store=self.label, direction="write")
 
@@ -510,9 +503,9 @@ class ResultCache(EntryStore):
 
     Entries live at ``<root>/<key[:2]>/<key>.json`` with the atomic
     write and quarantine-on-corruption discipline of
-    :class:`EntryStore`; quarantine is counted under
-    ``engine.cache.quarantined``, and the entry is re-created by the
-    next :meth:`put`.
+    :class:`EntryStore`; quarantine is counted in :attr:`stats` and as
+    ``repro_cache_events_total{store="profile",event="quarantined"}``,
+    and the entry is re-created by the next :meth:`put`.
 
     Invalidation is purely key-based: any change to the workload
     content, machine config, serialization format, or repro version

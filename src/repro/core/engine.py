@@ -37,9 +37,9 @@ deterministic.  The engine exploits both properties:
 * **Tracing** — every completed cell emits a
   :class:`~repro.core.trace.CellSpan` through the engine's
   :class:`~repro.core.trace.TraceWriter` (benchmark, workload, cache
-  hit/miss, attempts, duration, outcome), mirrored into
-  ``engine.run.*`` telemetry counters and optionally journaled as
-  JSONL (see ``repro suite --trace`` / ``repro trace``).
+  hit/miss, attempts, duration, outcome), counted in the metrics
+  registry (``repro_cells_total``) and optionally journaled as JSONL
+  (see ``repro suite --trace`` / ``repro trace``).
 
 Default Alberta workload sets are keyed by recipe, not minted: the
 store's workload-set index (:class:`~repro.core.artifacts.SetIndex`)
@@ -566,7 +566,7 @@ class CharacterizationEngine:
             :class:`CellFailure`; when False, runs complete and report
             failed cells in their results.
         trace: a :class:`TraceWriter`, a journal path, or ``None`` for
-            a tally-only writer (telemetry is mirrored either way).
+            a tally-only writer (the run summary is kept either way).
         max_pool_restarts: how many broken/timed-out pools to replace
             before declaring every still-pending cell crashed.
     """

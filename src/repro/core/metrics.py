@@ -1,9 +1,9 @@
 """Unified metrics registry: labeled counters, gauges, and histograms.
 
 The paper's contribution is measurement; this module is the same
-discipline applied to the pipeline itself.  Where
-:mod:`repro.machine.telemetry` keeps flat process-global integers, this
-registry keeps *labeled* metrics with *distributions*:
+discipline applied to the pipeline itself, and the pipeline's only
+counter system.  The registry keeps *labeled* metrics with
+*distributions*:
 
 * :class:`Counter` — monotonically increasing integer (cells run,
   replay events, cache bytes);
@@ -25,7 +25,7 @@ plain JSON types) and aggregate losslessly into the parent's registry.
 Registry topology:
 
 * one **process-global** registry (:func:`global_registry`) — the
-  lifetime aggregate, the moral successor of ``telemetry.counters()``;
+  lifetime aggregate, including the merged snapshots of pool workers;
 * **per-run child registries** — :meth:`MetricsRegistry.child` creates
   a write-through child: observations recorded in the child also land
   in its parent, so a :class:`~repro.core.run.Session` hands each run a

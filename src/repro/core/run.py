@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from typing import Any
 
-from ..machine import telemetry
 from ..machine.capture import TelemetryCapture
 from ..machine.cost import MachineConfig
 from ..machine.profiler import ExecutionProfile
@@ -205,13 +204,10 @@ class Session:
             }
         )
         #: The session-wide metrics aggregate; every call records into a
-        #: write-through child of this registry.
+        #: write-through child of this registry, so it holds this
+        #: session's traffic only (``metrics.global_registry()`` keeps
+        #: the cross-session process view).
         self.metrics = MetricsRegistry()
-        #: Per-session window onto the process-global telemetry counters
-        #: (``session.telemetry.counters("engine.run")`` is this
-        #: session's traffic only; ``telemetry.totals()`` keeps the
-        #: cross-run process view).
-        self.telemetry = telemetry.Scope()
         if ledger is None:
             env_dir = os.environ.get(LEDGER_ENV, "").strip()
             ledger = env_dir or None

@@ -4,8 +4,8 @@ Every engine run can emit a JSONL *journal*: one record per matrix cell
 (a :class:`CellSpan`) plus a terminal :class:`RunSummary`, giving a
 per-run provenance record of what executed, what came from the cache,
 how many attempts each cell took, and how long everything ran — the
-per-run counterpart to the process-global counters in
-:mod:`repro.machine.telemetry`.
+per-run counterpart to the labelled metric families of
+:mod:`repro.core.metrics`.
 
 Journal format (one JSON object per line, append-only, flushed per
 record so a crashed run leaves a readable prefix):
@@ -44,10 +44,11 @@ record so a crashed run leaves a readable prefix):
   reuses one captured stream across N configs reports ``captures=1,
   replays=N``.
 
-Each span is also mirrored into :mod:`repro.machine.telemetry` under
-``engine.run.*`` so operational tooling sees run traffic without
-holding the journal.  ``repro trace summary|show PATH`` render a
-journal from the CLI.
+Cell outcomes are counted in the metrics registry
+(``repro_cells_total`` / ``repro_retries_total``, one
+``repro_runs_total`` per finished journal), so operational tooling sees
+run traffic without holding the journal.  ``repro trace summary|show
+PATH`` render a journal from the CLI.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import IO, Any, Iterable
 
-from ..machine import telemetry
 from . import metrics
 
 __all__ = [
@@ -283,18 +283,17 @@ class RunSummary:
 
 
 class TraceWriter:
-    """Accumulates spans, mirrors them to telemetry, optionally to disk.
+    """Accumulates spans into a run summary, optionally journaled to disk.
 
     ``path=None`` makes a tally-only writer: the engine always routes
-    spans through one of these so ``engine.run.*`` telemetry stays
+    spans through one of these so the :class:`RunSummary` stays
     accurate whether or not a journal was requested.  Records are
     flushed line-by-line, so a killed run leaves a parsable journal
     (``summarize_trace`` recomputes the summary from the spans).
     """
 
-    def __init__(self, path: str | Path | None = None, *, mirror_telemetry: bool = True):
+    def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self.mirror_telemetry = mirror_telemetry
         self._fh: IO[str] | None = None
         self._spans: list[CellSpan] = []
         self._stages: list[StageSpan] = []
@@ -347,26 +346,6 @@ class TraceWriter:
         """Record one completed cell."""
         self._spans.append(span)
         self._write(span.to_dict())
-        if self.mirror_telemetry:
-            telemetry.record("engine.run.cells")
-            telemetry.record("engine.run.ok" if span.ok else "engine.run.failed")
-            retries = max(0, span.attempts - 1)
-            if retries:
-                telemetry.record("engine.run.retries", retries)
-            if span.outcome == "timeout":
-                telemetry.record("engine.run.timeouts")
-            elif span.outcome == "crashed":
-                telemetry.record("engine.run.crashes")
-            if span.capture == "run":
-                telemetry.record("engine.run.captures")
-            elif span.capture == "hit":
-                telemetry.record("engine.run.capture_hits")
-            if span.replay == "run":
-                telemetry.record("engine.run.replays")
-                if span.batched:
-                    telemetry.record("engine.run.replays_batched")
-            elif span.replay == "hit":
-                telemetry.record("engine.run.replay_hits")
 
     def stage(self, span: StageSpan) -> None:
         """Record one pipeline-stage child span."""
@@ -386,9 +365,7 @@ class TraceWriter:
                 duration_s=time.perf_counter() - self._started,
             )
             self._write(self.summary.to_dict())
-            if self.mirror_telemetry:
-                telemetry.record("engine.run.runs")
-                metrics.inc(metrics.RUNS_TOTAL)
+            metrics.inc(metrics.RUNS_TOTAL)
         return self.summary
 
     def close(self) -> None:

@@ -39,7 +39,6 @@ import numpy as np
 
 from ..core import metrics
 from ..core.errors import VerificationError, WorkloadError
-from . import telemetry
 from .cost import CostModel, MachineConfig, MachineReport, replay_reports
 from .profiler import ExecutionProfile
 from .telemetry import MethodCounters, Probe
@@ -189,6 +188,9 @@ def _record_replay(capture: TelemetryCapture, events: int, elapsed_ns: int) -> N
     metrics.observe(
         metrics.REPLAY_EPS, events / (elapsed_ns / 1e9), benchmark=capture.benchmark
     )
+    metrics.gauge_set(
+        metrics.SAMPLING_STRIDE_MAX, capture.sampling_stride, benchmark=capture.benchmark
+    )
 
 
 def replay_capture(
@@ -233,10 +235,5 @@ def replay_capture_batched(
         capture.methods, capture.columns, capture.sampling_stride, cfgs
     )
     elapsed_ns = max(1, time.perf_counter_ns() - t0)
-    replayed = capture.n_events * len(cfgs)
-    telemetry.record("engine.profile.replay_events", replayed)
-    telemetry.record("engine.profile.replay_ns", elapsed_ns)
-    telemetry.record("engine.profile.evaluations", len(cfgs))
-    telemetry.record_max("engine.profile.replay_stride_max", capture.sampling_stride)
-    _record_replay(capture, replayed, elapsed_ns)
+    _record_replay(capture, capture.n_events * len(cfgs), elapsed_ns)
     return [_profile(capture, report) for report in reports]

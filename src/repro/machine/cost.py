@@ -42,20 +42,19 @@ list is an extra dimension rather than a loop:
 
 Results are bit-identical to the historical scalar loop frozen in
 ``tests/_legacy_machine.py`` (``tests/test_golden_equivalence.py``);
-replay volume and wall time are recorded under the
-``engine.profile.*`` telemetry counters.  See DESIGN.md §9.
+replay volume and wall time are recorded by the replay stage
+(:mod:`repro.machine.capture`) as ``repro_replay_events_total`` /
+``repro_replay_ns_total``.  See DESIGN.md §9.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.coverage import CoverageProfile
 from ..core.topdown import TopDownVector
-from . import telemetry
 from .cache import CacheGeometry, HierarchyStats
 from .kernel import counter_scan_batched, gshare_history, lru_filter
 from .telemetry import EV_BRANCH, EV_DATA, MethodCounters, Probe
@@ -724,12 +723,7 @@ class CostModel:
 
     def evaluate(self, probe: Probe) -> MachineReport:
         """Replay the probe's sampled stream: :func:`replay_reports` at N=1."""
-        t0 = time.perf_counter_ns()
         (report,) = replay_reports(
             probe.methods(), probe.events.columns(), probe.sampling_stride, [self.config]
         )
-        telemetry.record("engine.profile.replay_events", len(probe.events))
-        telemetry.record("engine.profile.replay_ns", time.perf_counter_ns() - t0)
-        telemetry.record("engine.profile.evaluations", 1)
-        telemetry.record_max("engine.profile.replay_stride_max", probe.sampling_stride)
         return report

@@ -56,15 +56,6 @@ __all__ = [
     "EV_BRANCH",
     "EV_DATA",
     "EV_CALL",
-    "record",
-    "record_many",
-    "record_max",
-    "counters",
-    "reset_counters",
-    "snapshot",
-    "since",
-    "totals",
-    "Scope",
 ]
 
 EV_BRANCH = 0
@@ -80,119 +71,6 @@ _DEFAULT_EVENT_CAP = 262_144
 #: Bulk batches up to this many events skip NumPy: for a handful of
 #: outcomes the array set-up costs more than a pure-Python pass.
 _SMALL_BATCH = 64
-
-
-# --------------------------------------------------------------------------
-# Process-wide operational counters.
-#
-# Probes observe one benchmark execution; these counters observe the
-# harness itself (e.g. the characterization engine's result cache:
-# ``engine.cache.hits`` / ``.misses`` / ``.bytes_read`` /
-# ``.bytes_written``, or the replay kernel's ``engine.profile.*``
-# throughput gauges).  They are plain monotonically-increasing ints,
-# namespaced by dotted prefix, and live for the life of the process.
-
-_COUNTERS: dict[str, int] = {}
-
-
-def record(name: str, n: int = 1) -> None:
-    """Add ``n`` to the process-wide counter ``name``."""
-    _COUNTERS[name] = _COUNTERS.get(name, 0) + n
-
-
-def record_many(values: "dict[str, int]", prefix: str = "") -> None:
-    """Bulk-add counters, optionally under a dotted ``prefix``.
-
-    Used by the run-trace layer to mirror a whole run summary into the
-    process-wide counters in one call.
-    """
-    dotted = prefix if not prefix or prefix.endswith(".") else prefix + "."
-    for name, n in values.items():
-        record(dotted + name, n)
-
-
-def record_max(name: str, n: int) -> None:
-    """Raise the counter ``name`` to ``n`` if ``n`` exceeds it (a gauge
-    for high-water marks such as the largest sampling stride seen)."""
-    if n > _COUNTERS.get(name, 0):
-        _COUNTERS[name] = n
-
-
-def counters(prefix: str | None = None) -> dict[str, int]:
-    """Snapshot the counters, optionally filtered to a dotted prefix."""
-    if prefix is None:
-        return dict(_COUNTERS)
-    dotted = prefix if prefix.endswith(".") else prefix + "."
-    return {k: v for k, v in _COUNTERS.items() if k == prefix or k.startswith(dotted)}
-
-
-def reset_counters(prefix: str | None = None) -> None:
-    """Zero the counters (all of them, or just one dotted prefix)."""
-    if prefix is None:
-        _COUNTERS.clear()
-        return
-    for key in list(counters(prefix)):
-        del _COUNTERS[key]
-
-
-def snapshot(prefix: str | None = None) -> dict[str, int]:
-    """Alias of :func:`counters`: a point-in-time copy for later diffing."""
-    return counters(prefix)
-
-
-def since(baseline: "dict[str, int]", prefix: str | None = None) -> dict[str, int]:
-    """Counter deltas accumulated after ``baseline`` was snapshotted.
-
-    The scoped-view primitive: the process-global counters are never
-    reset (other concurrent consumers keep their view), callers instead
-    subtract their starting snapshot.  Counters absent from the
-    baseline report their full value; zero deltas are dropped.
-    """
-    out: dict[str, int] = {}
-    for name, value in counters(prefix).items():
-        delta = value - baseline.get(name, 0)
-        if delta:
-            out[name] = delta
-    return out
-
-
-def totals(prefix: str | None = None) -> dict[str, int]:
-    """The process-global, cross-run counter view (explicitly named).
-
-    Scoped consumers (:class:`Scope`, ``Run``/``Session``) report
-    per-run deltas; ``totals()`` is the deliberate way to ask for the
-    whole process history instead.
-    """
-    return counters(prefix)
-
-
-class Scope:
-    """A per-run window onto the process-global counters.
-
-    Counters accumulate for the life of the process, so two ``Run``s in
-    one process would otherwise bleed into each other's ``trace
-    summary``.  A ``Scope`` snapshots the counters at construction and
-    reports only what happened after that point — without resetting
-    anything, so concurrent scopes and :func:`totals` stay correct.
-    """
-
-    def __init__(self, prefix: str | None = None):
-        self.prefix = prefix
-        self._baseline = counters(prefix)
-
-    def counters(self, prefix: str | None = None) -> dict[str, int]:
-        """Deltas since this scope began (optionally sub-filtered)."""
-        out = since(self._baseline, self.prefix)
-        if prefix is None:
-            return out
-        dotted = prefix if prefix.endswith(".") else prefix + "."
-        return {
-            k: v for k, v in out.items() if k == prefix or k.startswith(dotted)
-        }
-
-    def reset(self) -> None:
-        """Restart the window at the current counter values."""
-        self._baseline = counters(self.prefix)
 
 
 @dataclass

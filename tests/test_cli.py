@@ -91,7 +91,7 @@ class TestObservability:
         from repro.core.trace import CellSpan, TraceWriter
 
         path = tmp_path / "t.jsonl"
-        writer = TraceWriter(path, mirror_telemetry=False)
+        writer = TraceWriter(path)
         writer.start()
         writer.span(CellSpan("505.mcf_r", "mcf.test", "off", 2, 0.1,
                              "failed", "boom"))
@@ -146,6 +146,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "548.exchange2_r" in out
         assert "mu_g(V)" in out
+
+    def test_suite_verbose_replay_line_under_any_worker_count(self, capsys):
+        """Worker registries merge into the parent's, so ``--verbose``
+        reports the same replay volume with and without a pool."""
+        lines = []
+        for workers in ("1", "2"):
+            argv = ["suite", "505.mcf_r", "--no-cache", "--verbose", "--workers", workers]
+            assert main(argv) == 0
+            err = capsys.readouterr().err
+            assert "needs --workers 1" not in err
+            (line,) = [ln for ln in err.splitlines() if ln.startswith("replay: ")]
+            lines.append(line.split(",")[0])
+        assert lines == ["replay: 537508 events over 7 evaluations"] * 2
 
     def test_fig1(self, capsys):
         assert main(["fig1", "548.exchange2_r"]) == 0

@@ -16,10 +16,10 @@ from repro.core.cache import (
     profile_from_dict,
     profile_to_dict,
 )
+from repro.core import metrics
 from repro.core.characterize import characterize, characterize_suite
 from repro.core.engine import CharacterizationEngine, default_workers
 from repro.core.registry import alberta_workloads, benchmark_ids, get_benchmark
-from repro.machine import telemetry
 from repro.machine.profiler import Profiler
 
 # Cheap benchmarks exercised by the fast (tier-1) tests.
@@ -111,15 +111,16 @@ class TestResultCache:
         )
 
     def test_telemetry_counters_surface_cache_traffic(self, tmp_path):
-        telemetry.reset_counters("engine.cache")
-        characterize("505.mcf_r", cache=ResultCache(tmp_path))
-        stats = telemetry.counters("engine.cache")
-        assert stats["engine.cache.misses"] == 7
-        assert stats["engine.cache.bytes_written"] > 0
-        characterize("505.mcf_r", cache=ResultCache(tmp_path))
-        stats = telemetry.counters("engine.cache")
-        assert stats["engine.cache.hits"] == 7
-        assert stats["engine.cache.bytes_read"] > 0
+        cold, warm = metrics.MetricsRegistry(), metrics.MetricsRegistry()
+        with metrics.collector(cold):
+            characterize("505.mcf_r", cache=ResultCache(tmp_path))
+        with metrics.collector(warm):
+            characterize("505.mcf_r", cache=ResultCache(tmp_path))
+        events, io = metrics.CACHE_EVENTS_TOTAL, metrics.CACHE_IO_BYTES_TOTAL
+        assert cold.value(events, store="profile", event="miss") == 7
+        assert cold.value(io, store="profile", direction="write") > 0
+        assert warm.value(events, store="profile", event="hit") == 7
+        assert warm.value(io, store="profile", direction="read") > 0
 
 
 class TestPayloadDigest:

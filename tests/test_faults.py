@@ -10,13 +10,13 @@ the ``max_attempt`` field makes retry-recovery deterministic.
 
 import pytest
 
+from repro.core import metrics
 from repro.core.cache import ResultCache, cache_key
 from repro.core.engine import FAULT_INJECT_ENV
 from repro.core.errors import CellFailure
 from repro.core.run import Run
 from repro.core.registry import alberta_workloads
 from repro.core.trace import trace_spans
-from repro.machine import telemetry
 
 MCF = "505.mcf_r"
 XZ = "557.xz_r"
@@ -131,14 +131,15 @@ class TestWorkerCrash:
 
 class TestCorruptCache:
     def test_corrupt_entry_quarantined_and_reprofiled(self, tmp_path, clean_mcf):
-        telemetry.reset_counters("engine.cache.quarantined")
         cache = ResultCache(tmp_path)
         Run(cache=cache).characterize(MCF)
         key = cache_key(MCF, alberta_workloads(MCF)[0])
         path = cache._path(key)
         path.write_text("{truncated json")
 
-        result = Run(cache=cache).characterize(MCF)
+        reg = metrics.MetricsRegistry()
+        with metrics.collector(reg):
+            result = Run(cache=cache).characterize(MCF)
         assert result.ok
         assert result.characterization.table2_row() == clean_mcf.table2_row()
         # Entry moved aside, counted, and re-created by the re-profile.
@@ -146,7 +147,8 @@ class TestCorruptCache:
         assert cache.stats.quarantined == 1
         assert cache.quarantined_entries() == 1
         assert result.summary.quarantined == 1
-        assert telemetry.counters("engine.cache")["engine.cache.quarantined"] == 1
+        quarantined = {"store": "profile", "event": "quarantined"}
+        assert reg.value(metrics.CACHE_EVENTS_TOTAL, **quarantined) == 1
         assert path.exists()
 
     def test_wipe_removes_quarantined_entries(self, tmp_path):

@@ -278,6 +278,22 @@ class TestCatalogLint:
             "not string literals:\n" + "\n".join(offenders)
         )
 
+    def test_registry_is_the_only_counter_system(self):
+        """Grep gate: no module in the package, tests or benchmarks calls
+        the retired process-global ``telemetry`` counters or defines a
+        flat ``_COUNTERS`` table beside the registry."""
+        repo = SRC.parent.parent
+        pattern = re.compile(
+            r"\btelemetry\.(?:record\w*|counters|totals|Scope)\b|^\s*_COUNTERS\s*[:=]"
+        )
+        offenders = []
+        for top in ("src", "tests", "benchmarks"):
+            for path in sorted((repo / top).rglob("*.py")):
+                for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                    if pattern.search(line):
+                        offenders.append(f"{path.relative_to(repo)}:{lineno}: {line.strip()}")
+        assert not offenders, "\n".join(offenders)
+
     def test_catalog_names_are_unique_and_prefixed(self):
         names = [spec.name for spec in metrics.CATALOG.values()]
         assert len(names) == len(set(names))
